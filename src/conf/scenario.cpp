@@ -11,8 +11,10 @@ namespace bcsim::conf {
 
 core::MachineConfig build_machine(const MachineSpec& o) {
   core::MachineConfig cfg;
+  if (o.shards != 1) {
+    throw std::invalid_argument("MachineSpec::shards must be 1: the sharded kernel was removed");
+  }
   cfg.n_nodes = o.nodes;
-  cfg.n_shards = o.shards;
   cfg.block_words = o.block_words;
   cfg.network = parse_network(o.network);
   cfg.net_buffer_depth = o.buffer_depth;
@@ -88,7 +90,6 @@ Scenario resolve_scenario(const Table& t) {
   Scenario s;
   MachineSpec& m = s.machine;
   u32_knob(t, "machine.nodes", m.nodes, 1);
-  u32_knob(t, "machine.shards", m.shards, 1);
   m.flavor = t.get_name("machine.flavor", m.flavor, {"paper", "wbi", "cbl-on-wbi"});
   m.consistency = t.get_name("machine.consistency", m.consistency, {"sc", "bc"});
   m.lock = t.get_name("machine.lock", m.lock,

@@ -7,11 +7,7 @@
 // and how locks are implemented.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string_view>
 
@@ -20,30 +16,6 @@
 #include "sim/types.hpp"
 
 namespace bcsim::core {
-
-/// Default shard count for new MachineConfigs: $BCSIM_SHARDS when set to a
-/// valid integer in [1, 1024] (so a whole test/tool run can be pushed onto
-/// the sharded kernel without touching every call site), else 1 — the
-/// serial reference kernel. Parsed once per process; invalid values are
-/// ignored with a one-time warning.
-[[nodiscard]] inline std::uint32_t default_n_shards() noexcept {
-  static const std::uint32_t cached = [] {
-    const char* env = std::getenv("BCSIM_SHARDS");
-    if (env == nullptr) return 1u;
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    const bool numeric = std::isdigit(static_cast<unsigned char>(env[0])) != 0 &&
-                         *end == '\0' && errno != ERANGE;
-    if (numeric && v >= 1 && v <= 1024) return static_cast<std::uint32_t>(v);
-    std::fprintf(stderr,
-                 "bcsim: ignoring invalid BCSIM_SHARDS='%s' "
-                 "(expected an integer in [1, 1024]); using 1\n",
-                 env);
-    return 1u;
-  }();
-  return cached;
-}
 
 /// How shared (coherent) data accesses are implemented.
 enum class DataProtocol : std::uint8_t {
@@ -138,15 +110,6 @@ enum class WbFault : std::uint8_t {
 struct MachineConfig {
   std::uint32_t n_nodes = 16;
 
-  /// Host-parallel simulation shards (DESIGN.md "Sharded PDES kernel").
-  /// 1 = the serial reference kernel (bit-for-bit the historical machine).
-  /// Values > 1 partition the nodes into contiguous shard ranges executed
-  /// window-parallel; schedule_seed 0 stays digest-identical to the serial
-  /// kernel at any shard count. Clamped to n_nodes; forced to 1 under
-  /// invariants=kFull (entry hooks read cross-node state). Defaults from
-  /// $BCSIM_SHARDS so existing tools/tests can opt in wholesale.
-  std::uint32_t n_shards = default_n_shards();
-
   // Cache geometry (Table 4: block size 4 words, cache size 1024 blocks).
   std::uint32_t block_words = 4;
   std::uint32_t cache_blocks = 1024;
@@ -239,7 +202,6 @@ struct MachineConfig {
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const {
     if (n_nodes == 0) throw std::invalid_argument("config: n_nodes must be >= 1");
-    if (n_shards == 0) throw std::invalid_argument("config: n_shards must be >= 1");
     if (block_words == 0 || block_words > 32) {
       throw std::invalid_argument("config: block_words must be in [1,32]");
     }

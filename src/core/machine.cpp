@@ -1,7 +1,6 @@
 #include "core/machine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -37,36 +36,8 @@ Machine::Machine(const MachineConfig& config)
   }
   network_->set_block_words(config_.block_words);
 
-  n_shards_ = std::min(config_.n_shards, config_.n_nodes);
-  if (n_shards_ > 1 && config_.invariants == sim::InvariantLevel::kFull) {
-    // The kFull transition hooks re-check a directory entry against every
-    // cache's state inside the mutating event — unsequenced cross-shard
-    // reads under a parallel window. Checking is a debugging mode; keep it
-    // exact and run serial.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::cerr << "bcsim: invariants=full forces the serial kernel "
-                << "(requested " << n_shards_ << " shards)\n";
-    }
-    n_shards_ = 1;
-  }
-  sim_.configure_shards(n_shards_, config_.n_nodes,
-                        std::max<Tick>(network_->min_remote_latency(), 1));
-  n_shards_ = sim_.n_shards();
-  if (config_.trace) sim_.enable_trace(config_.trace_capacity);
-  if (n_shards_ > 1) {
-    lane_stats_.reserve(n_shards_);
-    std::vector<sim::StatsRegistry*> lanes;
-    lanes.reserve(n_shards_);
-    for (std::uint32_t s = 0; s < n_shards_; ++s) {
-      lane_stats_.push_back(std::make_unique<sim::StatsRegistry>());
-      lanes.push_back(lane_stats_.back().get());
-    }
-    network_->configure_shards(lanes);
-  }
+  if (config_.trace) sim_.trace().enable(config_.trace_capacity);
   if (config_.fault_plan.has_net_rules()) {
-    // The transport only runs in serial context (route_and_deliver), so its
-    // counters live in the main registry even when the kernel is sharded.
     network_->install_transport(config_.fault_plan, stats_);
   }
 
@@ -75,11 +46,10 @@ Machine::Machine(const MachineConfig& config)
   caches_.reserve(config_.n_nodes);
   processors_.reserve(config_.n_nodes);
   for (NodeId i = 0; i < config_.n_nodes; ++i) {
-    sim::StatsRegistry& node_stats = stats_lane(i);
     dirs_.push_back(std::make_unique<proto::DirectoryController>(i, sim_, *network_, amap_,
-                                                                 config_, node_stats));
+                                                                 config_, stats_));
     caches_.push_back(
-        std::make_unique<CacheController>(i, sim_, *network_, amap_, config_, node_stats));
+        std::make_unique<CacheController>(i, sim_, *network_, amap_, config_, stats_));
     processors_.push_back(
         std::make_unique<Processor>(i, sim_, *caches_.back(), config_, seeder.next_u64()));
     network_->attach(i, net::Unit::kMemory,
@@ -94,25 +64,18 @@ Machine::Machine(const MachineConfig& config)
   }
 }
 
-void Machine::fold_lane_stats() {
-  for (auto& lane : lane_stats_) stats_.absorb(*lane);
-  sim_.fold_lane_traces();
+void Machine::start_programs() {
+  while (started_ < programs_.size()) {
+    sim::Task* t = &programs_[started_++];
+    sim_.schedule(0, [t] { t->start(); });
+  }
 }
 
 Tick Machine::run(Tick max_cycles) {
-  // Lane stats must fold back into the main registry however the run ends:
-  // the violation/exception paths read stats and traces too.
-  struct FoldGuard {
-    Machine* m;
-    ~FoldGuard() { m->fold_lane_stats(); }
-  } fold_guard{this};
   try {
-    while (started_ < programs_.size()) {
-      Program& p = programs_[started_++];
-      sim_.schedule_on(sim_.shard_of_node(p.node), 0, [t = &p.task] { t->start(); });
-    }
+    start_programs();
     const auto result = run_events(max_cycles);
-    for (const auto& p : programs_) p.task.rethrow_if_failed();
+    for (const auto& p : programs_) p.rethrow_if_failed();
     if (result == sim::RunResult::kBudget) {
       if (config_.watchdog_interval > 0) {
         diagnose_liveness(LivenessKind::kLivelock,
@@ -142,17 +105,10 @@ Tick Machine::run(Tick max_cycles) {
 }
 
 Tick Machine::run_until(Tick until) {
-  struct FoldGuard {
-    Machine* m;
-    ~FoldGuard() { m->fold_lane_stats(); }
-  } fold_guard{this};
   try {
-    while (started_ < programs_.size()) {
-      Program& p = programs_[started_++];
-      sim_.schedule_on(sim_.shard_of_node(p.node), 0, [t = &p.task] { t->start(); });
-    }
+    start_programs();
     sim_.run_until(until);
-    for (const auto& p : programs_) p.task.rethrow_if_failed();
+    for (const auto& p : programs_) p.rethrow_if_failed();
   } catch (const sim::InvariantViolation&) {
     dump_trace_on_violation();
     throw;
@@ -170,12 +126,6 @@ void Machine::check_invariants(const char* where) {
 }
 
 void Machine::dump_trace(std::ostream& os, std::size_t n) const {
-  if (n_shards_ > 1) {
-    // Records live in per-shard lanes; the canonical merge interleaves
-    // them in (tick, ...) order like a serial run's tail.
-    sim_.merged_trace().dump_tail(os, n);
-    return;
-  }
   sim_.trace().dump_tail(os, n);
 }
 
@@ -237,7 +187,7 @@ void Machine::diagnose_liveness(LivenessKind kind, const std::string& headline) 
 
 bool Machine::all_done() const {
   for (const auto& p : programs_) {
-    if (!p.task.done()) return false;
+    if (!p.done()) return false;
   }
   return true;
 }

@@ -65,11 +65,6 @@ class Machine {
   [[nodiscard]] const mem::AddressMap& address_map() const noexcept { return amap_; }
   [[nodiscard]] std::uint32_t n_nodes() const noexcept { return config_.n_nodes; }
 
-  /// Shards the simulation actually runs on: config.n_shards clamped to
-  /// n_nodes, and forced to 1 under invariants=kFull (the per-transition
-  /// entry hooks read cross-node state, which a parallel window must not).
-  [[nodiscard]] std::uint32_t n_shards() const noexcept { return n_shards_; }
-
   [[nodiscard]] Processor& processor(NodeId i) { return *processors_.at(i); }
   [[nodiscard]] CacheController& cache_controller(NodeId i) { return *caches_.at(i); }
   [[nodiscard]] proto::DirectoryController& directory(NodeId i) { return *dirs_.at(i); }
@@ -80,18 +75,10 @@ class Machine {
     return AddressAllocator(config_.block_words, start_block);
   }
 
-  /// Registers a program; it starts at the next run() call. Spawning
-  /// between runs is allowed (tests use it to sequence scenarios). `node`
-  /// is the processor the program drives: its start event is scheduled on
-  /// that node's shard, so programs spread across shards in sharded runs.
-  /// (The plain spawn() overload pins the start event to node 0's shard —
-  /// harmless for correctness, but a program driving another node would
-  /// serialize its first resumption through a cross-shard hop; pass the
-  /// node when you have it.)
-  void spawn_on(NodeId node, sim::Task t) {
-    programs_.push_back(Program{std::move(t), node});
-  }
-  void spawn(sim::Task t) { spawn_on(0, std::move(t)); }
+  /// Registers a program; it starts at the next run() call, in spawn
+  /// order. Spawning between runs is allowed (tests use it to sequence
+  /// scenarios).
+  void spawn(sim::Task t) { programs_.push_back(std::move(t)); }
 
   /// Starts all not-yet-started programs and drains the event loop. Throws
   /// if any program failed or the cycle budget was exhausted. Returns the
@@ -163,14 +150,13 @@ class Machine {
   static constexpr std::size_t kViolationDumpTail = 64;
 
  private:
-  struct Program {
-    sim::Task task;
-    NodeId node;
-  };
-
   /// Prints the trace tail to stderr before an InvariantViolation
   /// propagates, so the interleaving that led to the violation survives.
   void dump_trace_on_violation() const;
+
+  /// Schedules the start event of every program spawned since the last
+  /// run, at the current tick and in spawn order.
+  void start_programs();
 
   /// run()'s event-draining core: a plain sim_.run with the watchdog off,
   /// a run_until-sliced loop sampling ops_retired_total() with it on
@@ -181,30 +167,16 @@ class Machine {
   /// the trace tail to stderr, then throws LivenessViolation.
   [[noreturn]] void diagnose_liveness(LivenessKind kind, const std::string& headline);
 
-  /// Registry node `i`'s components record into: the main registry when
-  /// serial, the owning shard's private lane when sharded (plain counter
-  /// bumps, no sharing across window workers).
-  [[nodiscard]] sim::StatsRegistry& stats_lane(NodeId i) noexcept {
-    return lane_stats_.empty() ? stats_ : *lane_stats_[sim_.shard_of_node(i)];
-  }
-
-  /// Folds every shard lane into the main registry (and empties the
-  /// lanes), so stats()/stats_digest() read like a serial run's. Called
-  /// after every run()/run_until(), including exceptional exits.
-  void fold_lane_stats();
-
   MachineConfig config_;
-  std::uint32_t n_shards_ = 1;
   sim::Simulator sim_;
   sim::StatsRegistry stats_;
-  std::vector<std::unique_ptr<sim::StatsRegistry>> lane_stats_;  ///< [shard], sharded only
   mem::AddressMap amap_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<proto::DirectoryController>> dirs_;
   std::vector<std::unique_ptr<CacheController>> caches_;
   std::vector<std::unique_ptr<Processor>> processors_;
-  std::deque<Program> programs_;  ///< deque: stable addresses across spawn
-  std::size_t started_ = 0;       ///< programs_[0..started_) have started
+  std::deque<sim::Task> programs_;  ///< deque: stable addresses across spawn
+  std::size_t started_ = 0;         ///< programs_[0..started_) have started
   sim::InvariantChecker checker_{*this};
 };
 

@@ -164,9 +164,7 @@ class Processor {
   /// Completed memory/synchronization primitives (not compute delays).
   /// The liveness watchdog reads this between run slices: a machine whose
   /// processors retire nothing for several watchdog intervals while
-  /// programs remain unfinished is diagnosed as livelocked. Only mutated
-  /// by this node's own completion events, so it is race-free under the
-  /// sharded kernel; the watchdog reads it from serial context.
+  /// programs remain unfinished is diagnosed as livelocked.
   [[nodiscard]] std::uint64_t ops_retired() const noexcept { return retired_; }
 
   static constexpr double kPrivateHitRatio = 0.95;

@@ -151,7 +151,7 @@ LitmusRunResult run_litmus(const LitmusTest& t, const core::MachineConfig& cfg,
   core::Machine m(cfg);
   Layout lay(t, m);
   for (std::uint32_t ti = 0; ti < t.threads.size(); ++ti) {
-    m.spawn_on(ti, interpret_thread(m.processor(ti), t, ti, lay, obs));
+    m.spawn(interpret_thread(m.processor(ti), t, ti, lay, obs));
   }
   try {
     r.completion = m.run(budget);

@@ -21,9 +21,11 @@ void Network::install_transport(const sim::FaultPlan& plan, sim::StatsRegistry& 
 
 Network::Network(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint32_t n_nodes)
     : simulator_(simulator), stats_(stats), n_nodes_(n_nodes),
-      pools_(1),
       cache_sinks_(n_nodes), memory_sinks_(n_nodes),
-      lanes_{make_lane(stats)},
+      c_messages_(&stats.counter("net.messages")),
+      c_sync_(&stats.counter("net.sync_messages")),
+      c_data_(&stats.counter("net.data_messages")),
+      c_local_(&stats.counter("net.local")),
       c_remote_(&stats.counter("net.remote")),
       c_flits_(&stats.counter("net.flits")),
       c_contention_(&stats.counter("net.contention_cycles")),
@@ -31,29 +33,11 @@ Network::Network(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint
   if (n_nodes == 0) throw std::invalid_argument("Network: need at least one node");
 }
 
-Network::SendLane Network::make_lane(sim::StatsRegistry& registry) {
-  SendLane lane;
-  lane.registry = &registry;
-  lane.messages = &registry.counter("net.messages");
-  lane.sync = &registry.counter("net.sync_messages");
-  lane.data = &registry.counter("net.data_messages");
-  lane.local = &registry.counter("net.local");
-  return lane;
-}
-
-void Network::configure_shards(const std::vector<sim::StatsRegistry*>& lanes) {
-  if (lanes.empty()) return;
-  lanes_.clear();
-  lanes_.reserve(lanes.size());
-  for (sim::StatsRegistry* r : lanes) lanes_.push_back(make_lane(*r));
-  pools_ = std::vector<MessagePool>(lanes.size());
-}
-
-sim::Counter& Network::register_type_counter(SendLane& lane, MsgType t) {
+sim::Counter& Network::register_type_counter(MsgType t) {
   std::string name("net.msg.");
   name += to_string(t);
-  sim::Counter& c = lane.registry->counter(name);
-  lane.by_type[static_cast<std::size_t>(t)] = &c;
+  sim::Counter& c = stats_.counter(name);
+  c_by_type_[static_cast<std::size_t>(t)] = &c;
   return c;
 }
 
@@ -72,46 +56,23 @@ Tick Network::flits_of(const Message& m) const noexcept {
 }
 
 void Network::send(Message msg) {
-  SendLane& lane = lanes_[simulator_.current_shard()];
-  lane.messages->add();
-  (is_sync_message(msg.type) ? lane.sync : lane.data)->add();
-  if (sim::Counter* c = lane.by_type[static_cast<std::size_t>(msg.type)]) {
+  c_messages_->add();
+  (is_sync_message(msg.type) ? c_sync_ : c_data_)->add();
+  if (sim::Counter* c = c_by_type_[static_cast<std::size_t>(msg.type)]) {
     c->add();
   } else {
-    register_type_counter(lane, msg.type).add();
+    register_type_counter(msg.type).add();
   }
   const Tick now = simulator_.now();
   simulator_.trace().msg(sim::TraceKind::kMsgSend, now, static_cast<std::uint8_t>(msg.type),
                          msg.src, msg.dst, msg.unit == Unit::kMemory, msg.block, msg.txn);
   if (msg.src == msg.dst) {
-    lane.local->add();
+    c_local_->add();
     // Delivery rides the message's ordering channel: a schedule seed may
     // permute deliveries racing on different links, but messages on one
     // point-to-point link stay FIFO — the hardware guarantee the protocols
-    // are built on. The in-flight message lives in the pool; the closure
-    // carries only a pointer, keeping it inside EventFn's inline storage.
-    // Local traffic never leaves its shard, so the pool index is the
-    // sending shard's.
-    const Tick arrive = now + kLocalLatency;
-    const std::uint64_t channel = channel_of(msg);
-    const std::uint32_t shard = simulator_.current_shard();
-    Message* pm = pools_[shard].acquire(std::move(msg));
-    simulator_.schedule_at_channel(arrive, channel, [this, pm, shard] {
-      deliver(*pm);
-      pools_[shard].release(pm);
-    });
-    return;
-  }
-  if (simulator_.in_window()) {
-    // Cross-shard send inside a window: routing reads and writes the
-    // globally shared contention state (switch ports / links), so it is
-    // deferred to the window barrier, where deferred sends replay in the
-    // serial kernel's order. The lookahead guarantees arrival lands at or
-    // beyond the window end, so deferral never delays anything observable.
-    simulator_.defer_remote(
-        [this, m = std::move(msg), now](sim::Simulator&) mutable {
-          route_and_deliver(std::move(m), now);
-        });
+    // are built on.
+    schedule_delivery(std::move(msg), now + kLocalLatency);
     return;
   }
   route_and_deliver(std::move(msg), now);
@@ -130,32 +91,31 @@ void Network::route_and_deliver(Message msg, Tick send_tick) {
   c_remote_->add();
   c_flits_->add(flits_of(msg));
   const Tick arrive = route(msg, send_tick);
-  // The sharded kernel's lookahead proof: backpressure and credit waits
-  // only ever push an arrival later, so min_remote_latency() remains a
-  // lower bound on every remote delivery (sim/simulator.hpp).
+  // Backpressure and credit waits only ever push an arrival later, so
+  // min_remote_latency() remains a lower bound on every remote delivery.
   assert(arrive >= send_tick + min_remote_latency() &&
-         "route() violated the conservative lookahead bound");
+         "route() violated the minimum remote latency");
   h_latency_->record(arrive - send_tick);
   schedule_delivery(std::move(msg), arrive);
 }
 
 void Network::schedule_delivery(Message msg, Tick arrive) {
+  // The in-flight message lives in the pool; the closure carries only a
+  // pointer, keeping it inside EventFn's inline storage.
   const std::uint64_t channel = channel_of(msg);
-  const std::uint32_t shard = simulator_.shard_of_node(msg.dst);
-  Message* pm = pools_[shard].acquire(std::move(msg));
-  simulator_.replay_push_channel(shard, arrive, channel, [this, pm, shard] {
+  Message* pm = pool_.acquire(std::move(msg));
+  simulator_.schedule_at_channel(arrive, channel, [this, pm] {
     deliver(*pm);
-    pools_[shard].release(pm);
+    pool_.release(pm);
   });
 }
 
 void Network::send_at(Tick at, Message msg) {
   const std::uint64_t channel = channel_of(msg);
-  const std::uint32_t shard = simulator_.current_shard();
-  Message* pm = pools_[shard].acquire(std::move(msg));
-  simulator_.schedule_at_channel(at, channel, [this, pm, shard] {
+  Message* pm = pool_.acquire(std::move(msg));
+  simulator_.schedule_at_channel(at, channel, [this, pm] {
     send(std::move(*pm));
-    pools_[shard].release(pm);
+    pool_.release(pm);
   });
 }
 

@@ -143,18 +143,10 @@ class Network {
 
   [[nodiscard]] std::uint32_t n_nodes() const noexcept { return n_nodes_; }
 
-  /// Lower bound on the latency of any remote (src != dst) message — the
-  /// sharded kernel's conservative lookahead: no event can create work for
-  /// another shard sooner than this many cycles in the future.
+  /// Lower bound on the latency of any remote (src != dst) message.
+  /// Contention and credit waits only add to it (asserted in
+  /// route_and_deliver); the transport acks on this latency.
   [[nodiscard]] virtual Tick min_remote_latency() const noexcept = 0;
-
-  /// Sizes the per-shard send-side resources for the sharded kernel:
-  /// `lanes[s]` is shard s's private stats registry (send counters land
-  /// there, lock-free; the machine folds the lanes after the run) and each
-  /// shard gets a private in-flight message pool. Must be called before
-  /// the first send; without it the network runs in serial mode (one lane
-  /// bound to the main registry).
-  void configure_shards(const std::vector<sim::StatsRegistry*>& lanes);
 
   /// Service time (flits) a message of this size occupies a switch port.
   [[nodiscard]] Tick flits_of(const Message& m) const noexcept;
@@ -224,48 +216,34 @@ class Network {
   /// the public surface.
   friend class Transport;
 
-  /// Per-shard send-side state: counter handles into the shard's lane
-  /// registry (resolved once — the registry lookup used to run per message
-  /// on the simulator's hottest path) plus the lazily filled per-type
-  /// counters. Serial mode has exactly one lane, bound to the main
-  /// registry, so the serial hot path is unchanged.
-  struct SendLane {
-    sim::StatsRegistry* registry = nullptr;
-    sim::Counter* messages = nullptr;
-    sim::Counter* sync = nullptr;
-    sim::Counter* data = nullptr;
-    sim::Counter* local = nullptr;
-    std::array<sim::Counter*, kMsgTypeCount> by_type{};  ///< lazily filled
-  };
-
   void deliver(const Message& m);
   /// Cold path of the per-type counters: registers "net.msg.<type>" on the
-  /// type's first send in this lane, so the stats report lists exactly the
-  /// types a run actually produced.
-  static sim::Counter& register_type_counter(SendLane& lane, MsgType t);
-  [[nodiscard]] static SendLane make_lane(sim::StatsRegistry& registry);
-  /// Serial-context remote path (the whole path in the serial kernel; the
-  /// window-barrier replay in the sharded one): charges the remote
-  /// counters, routes against the shared contention state, and schedules
-  /// delivery on the destination's shard. With a transport installed it
-  /// hands the message over instead — same context, same ordering rules.
+  /// type's first send, so the stats report lists exactly the types a run
+  /// actually produced.
+  sim::Counter& register_type_counter(MsgType t);
+  /// Remote path: charges the remote counters, routes against the shared
+  /// contention state, and schedules delivery. With a transport installed
+  /// it hands the message over instead.
   void route_and_deliver(Message msg, Tick send_tick);
-  /// Tail of the remote path: pools the message and schedules its delivery
-  /// event at `arrive` on the destination's shard (serial context only).
-  /// Shared with the transport, whose deliveries may be held back by the
-  /// reorder buffer.
+  /// Pools the message and schedules its delivery event at `arrive` on the
+  /// message's ordering channel. Shared by the local path, the remote path
+  /// and the transport, whose deliveries may be held back by the reorder
+  /// buffer.
   void schedule_delivery(Message msg, Tick arrive);
 
   std::uint32_t n_nodes_;
   std::unique_ptr<Transport> transport_;
-  std::vector<MessagePool> pools_;  ///< in-flight messages, one pool per shard
+  MessagePool pool_;  ///< in-flight messages
   std::vector<DeliverFn> cache_sinks_;
   std::vector<DeliverFn> memory_sinks_;
-  std::vector<SendLane> lanes_;  ///< [shard]; size 1 in serial mode
 
-  // Remote-path handles (main registry): only touched from serial context —
-  // routing is inherently global, so the sharded kernel replays it at the
-  // window barrier.
+  // Counter handles, resolved at construction so the per-message path
+  // does no registry lookup.
+  sim::Counter* c_messages_;
+  sim::Counter* c_sync_;
+  sim::Counter* c_data_;
+  sim::Counter* c_local_;
+  std::array<sim::Counter*, kMsgTypeCount> c_by_type_{};  ///< lazily filled
   sim::Counter* c_remote_;
   sim::Counter* c_flits_;
   sim::Counter* c_contention_;
@@ -317,8 +295,8 @@ class OmegaNetwork final : public Network {
 
   /// Every remote message crosses all log2(N) stages; contention and the
   /// tail flit only add to that. Bounded buffers only ever *delay* entry
-  /// to a port, so this stays a valid sharded-kernel lookahead with
-  /// credits in flight (asserted in route_and_deliver).
+  /// to a port, so the bound survives credits in flight (asserted in
+  /// route_and_deliver).
   [[nodiscard]] Tick min_remote_latency() const noexcept override {
     return static_cast<Tick>(stages_) * switch_delay_;
   }

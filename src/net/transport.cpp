@@ -273,18 +273,8 @@ void Transport::give_up(Link& link, std::uint64_t seq) {
 
 void Transport::schedule_retransmit(std::uint64_t channel, std::uint64_t seq, Tick delay,
                                     std::uint64_t gen, bool is_timer) {
-  // The event lands on the sender's shard queue; when it fires inside a
-  // parallel window it defers itself to the barrier, so every transport
-  // mutation stays in serial context.
-  const std::uint32_t shard = sim_.shard_of_node(channel_src(channel));
-  sim_.schedule_on(shard, delay, [this, channel, seq, gen, is_timer] {
-    if (sim_.in_window()) {
-      sim_.defer_remote([this, channel, seq, gen, is_timer](sim::Simulator&) {
-        retransmit_now(channel, seq, gen, is_timer);
-      });
-    } else {
-      retransmit_now(channel, seq, gen, is_timer);
-    }
+  sim_.schedule(delay, [this, channel, seq, gen, is_timer] {
+    retransmit_now(channel, seq, gen, is_timer);
   });
 }
 

@@ -27,10 +27,9 @@
 // local (src == dst) unit-to-unit transfers never cross the fabric.
 //
 // Determinism: every lottery draw is a pure function of (plan seed, rule
-// index, link channel, sequence number, attempt), and every state mutation
-// happens in serial context (directly in the serial kernel; at the window
-// barrier in the sharded one), so a plan+seed replays exactly at any shard
-// count — chaos cells are reproducible from their corpus line.
+// index, link channel, sequence number, attempt), and the kernel's schedule
+// is deterministic, so a plan+seed replays exactly — chaos cells are
+// reproducible from their corpus line.
 #pragma once
 
 #include <array>

@@ -142,7 +142,7 @@ MachineRunResult run_on_machine(const DrfProgram& prog, const core::MachineConfi
   }
 
   for (std::uint32_t n = 0; n < prog.gen.n_nodes; ++n) {
-    m.spawn_on(n, interpret_node(m.processor(n), prog, n, lay, r.obs));
+    m.spawn(interpret_node(m.processor(n), prog, n, lay, r.obs));
   }
   try {
     r.completion = m.run(budget);

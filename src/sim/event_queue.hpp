@@ -78,30 +78,6 @@ class EventQueue {
     return seq;
   }
 
-  /// Inserts an event under a caller-supplied (key, seq) pair, bypassing the
-  /// internal sequence counter. The sharded kernel (Simulator) uses this to
-  /// key events with globally assigned sequence numbers so a multi-queue
-  /// run reproduces the serial queue's total order; `seq` must be unique
-  /// among pending events. Plain push()/push_channel() must not be mixed
-  /// with push_keyed() on the same queue — their seq spaces would collide.
-  void push_keyed(Tick at, std::uint64_t key, std::uint64_t seq, EventFn fn) {
-    insert(at, key, seq, std::move(fn));
-  }
-
-  /// The key push() would derive for sequence number `seq` under the current
-  /// schedule seed (seq itself at seed 0, a SplitMix64 hash otherwise).
-  [[nodiscard]] std::uint64_t key_for(std::uint64_t seq) const noexcept {
-    return tie_key(seq);
-  }
-
-  /// The key push_channel() would derive for `channel` / `seq`.
-  [[nodiscard]] std::uint64_t channel_key(std::uint64_t channel,
-                                          std::uint64_t seq) const noexcept {
-    return (schedule_seed_ == 0)
-               ? seq
-               : SplitMix64(schedule_seed_ ^ (channel * 0x9e3779b97f4a7c15ULL)).next();
-  }
-
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
@@ -117,23 +93,6 @@ class EventQueue {
 
   /// Removes and returns the earliest event. Precondition: !empty().
   [[nodiscard]] std::pair<Tick, EventFn> pop() {
-    auto p = pop_ex();
-    return {p.at, std::move(p.fn)};
-  }
-
-  /// A popped event with its ordering metadata exposed. The sharded kernel
-  /// needs (key, seq) to tell surrogate-keyed in-window events from
-  /// globally sequenced ones when reconstructing the serial order.
-  struct Popped {
-    Tick at;
-    std::uint64_t key;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-
-  /// pop() variant returning the event's (key, seq) alongside the callback.
-  /// Precondition: !empty().
-  [[nodiscard]] Popped pop_ex() {
     assert(!empty() && "EventQueue::pop() on an empty queue");
     if (draining()) {
       const Tick cur = buckets_[cur_bucket_].at;
@@ -275,10 +234,10 @@ class EventQueue {
     }
   }
 
-  Popped take_from_current() {
+  std::pair<Tick, EventFn> take_from_current() {
     Bucket& b = buckets_[cur_bucket_];
-    Event& e = b.events[cur_pos_];
-    Popped p{b.at, e.key, e.seq, std::move(e.fn)};
+    const Tick at = b.at;
+    EventFn fn = std::move(b.events[cur_pos_].fn);
     ++cur_pos_;
     --size_;
     if (cur_pos_ == b.events.size()) {
@@ -286,7 +245,7 @@ class EventQueue {
       cur_bucket_ = kNoBucket;
       cur_pos_ = 0;
     }
-    return p;
+    return {at, std::move(fn)};
   }
 
   /// Re-queues a part-drained bucket (an earlier tick was pushed mid-drain —
@@ -307,6 +266,15 @@ class EventQueue {
     // SplitMix64 over (seed, seq): a high-quality deterministic hash, so
     // every seed induces an independent-looking same-tick permutation.
     return SplitMix64(schedule_seed_ ^ (seq * 0x9e3779b97f4a7c15ULL)).next();
+  }
+
+  /// Tie-break key of a channel push: every event on one channel shares
+  /// it, so only seq can order them.
+  [[nodiscard]] std::uint64_t channel_key(std::uint64_t channel,
+                                          std::uint64_t seq) const noexcept {
+    return (schedule_seed_ == 0)
+               ? seq
+               : SplitMix64(schedule_seed_ ^ (channel * 0x9e3779b97f4a7c15ULL)).next();
   }
 
   std::vector<Bucket> buckets_;               ///< bucket pool (index-stable)

@@ -1,377 +1,12 @@
-// Sharded execution engine for sim::Simulator (conservative parallel DES).
-//
-// How a window executes, and why seed-0 output is bit-identical to the
-// serial kernel (the full argument is in DESIGN.md):
-//
-//   1. W = min next_tick over all shards; the window is [W, WE) with
-//      WE = W + lookahead (capped at the run deadline + 1). The lookahead
-//      is a lower bound on the latency of any cross-shard message, so no
-//      event executed in this window can create work for another shard
-//      inside the window: shards are causally independent over [W, WE)
-//      and may drain concurrently.
-//
-//   2. Each shard pops its queue while next_tick < WE. Pushes made by its
-//      events are logged into a per-shard frame list (one frame per
-//      executed event that pushed anything):
-//        - a push targeting a tick < WE lands in the shard's own queue
-//          immediately (the target must be local — see 1), keyed by a
-//          *surrogate* sequence number: surro_base + per-shard counter,
-//          where surro_base exceeds every globally assigned seq. Under
-//          seed 0 key == seq, so within one shard the surrogate order is
-//          the shard's push order — the same relative order the serial
-//          kernel would have used, just with placeholder numbers.
-//        - a push targeting a tick >= WE is deferred (the closure is
-//          parked in the frame), and every cross-shard network send is
-//          deferred wholesale (its routing reads shared contention state).
-//
-//   3. Barrier replay. Frames are merged across shards in the serial
-//      kernel's execution order — ascending (tick, seq) of the *executed*
-//      event — and each frame's pushes are re-enacted in push order,
-//      drawing true global sequence numbers: an in-window push just
-//      records surrogate -> true-seq (its event already fired; only the
-//      bookkeeping needed renumbering), a deferred push enters its
-//      shard's queue under the true seq/key, and a deferred remote send
-//      routes against the shared contention state and enters the
-//      destination shard's queue. Because the replay order equals the
-//      serial execution order, the true seqs assigned here are exactly
-//      the ones the serial kernel's push counter would have produced, and
-//      the contention state evolves identically.
-//
-//      The merge needs each frame's executed-event seq; for events that
-//      were themselves pushed in-window that seq is a surrogate, resolved
-//      through the surrogate map as the merge goes. Resolution is always
-//      available at the head: a surrogate-keyed frame is preceded in its
-//      own shard's log by the frame of the event that pushed it (same
-//      shard, earlier execution), so by the time it can reach the merge
-//      head its surrogate has been mapped.
-//
-//   4. Nonzero schedule seeds: surrogate keys hash exactly like the serial
-//      kernel's, but the serial order cannot (and need not) be recovered —
-//      frames replay in (shard, execution) order, still deterministic, so
-//      each (seed, n_shards) pair names one legal schedule. Channel FIFO
-//      survives at every seed: same-channel events share a key, and both
-//      surrogate and true seqs are assigned in send order.
-//
-// Host threads only ever touch disjoint shard state between two barriers,
-// and the barriers (mutex + condition variable) order those accesses, so
-// the engine is data-race-free; results never depend on the worker count.
-
 #include "sim/simulator.hpp"
-
-#include <algorithm>
-#include <cassert>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <utility>
-
-#include "sim/sweep.hpp"
 
 namespace bcsim::sim {
 
-namespace {
-
-/// Identifies the shard whose window the current thread is draining.
-/// Null `sim` means serial context (setup code, the barrier, or a plain
-/// serial-kernel run).
-struct WindowTls {
-  Simulator* sim = nullptr;
-  std::uint32_t shard = 0;
-};
-thread_local WindowTls g_window;
-
-}  // namespace
-
-/// One logged push. `kind` says how the barrier re-enacts it.
-struct FramePushEntry {
-  enum class Kind : std::uint8_t {
-    kLocal,            ///< already in the shard queue under surrogate `aux`
-    kDeferred,         ///< plain push parked for the barrier (tick >= WE)
-    kDeferredChannel,  ///< channel push parked for the barrier; channel = `aux`
-    kRemote,           ///< cross-shard send; `remote` routes + delivers
-  };
-  Kind kind;
-  Tick at = 0;
-  std::uint64_t aux = 0;
-  EventFn fn;
-  Simulator::ReplayFn remote;
-};
-
-/// One executed event's pushes: [first, first + count) in Shard::pushes.
-/// (at, key, surrogate) identify the event's place in the serial order.
-struct Simulator::Frame {
-  Tick at;
-  std::uint64_t key;  ///< executed event's seq (surrogate when `surrogate`)
-  bool surrogate;
-  std::uint32_t first;
-  std::uint32_t count;
-};
-
-struct Simulator::Shard {
-  std::uint32_t index = 0;
-  EventQueue queue;
-  TraceRecorder trace;
-  Tick now = 0;            ///< local clock while draining a window
-  Tick last_executed = 0;
-  std::uint64_t events = 0;
-  std::uint64_t surro_next = 0;  ///< per-window surrogate counter
-  std::vector<Frame> frames;
-  std::vector<FramePushEntry> pushes;
-  std::unordered_map<std::uint64_t, std::uint64_t> surro_to_seq;
-  std::exception_ptr error;
-  // Executing-event bookkeeping (set before each callback fires).
-  Tick cur_at = 0;
-  std::uint64_t cur_seq = 0;
-  bool cur_surrogate = false;
-  bool frame_open = false;
-};
-
-/// Persistent worker pool: `run()` wakes every worker to execute the
-/// simulator's shard-claiming loop, the caller participates, and the call
-/// returns when all workers finished the generation (a full barrier, which
-/// also publishes all shard state to whichever thread touches it next).
-class Simulator::Gang {
- public:
-  Gang(Simulator& sim, std::size_t workers) : sim_(sim) {
-    threads_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { thread_main(); });
-    }
-  }
-
-  ~Gang() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-      ++generation_;
-    }
-    cv_start_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  void run() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      pending_ = threads_.size();
-      ++generation_;
-    }
-    cv_start_.notify_all();
-    sim_.worker_loop_body();
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [this] { return pending_ == 0; });
-  }
-
- private:
-  void thread_main() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_start_.wait(lk, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (shutdown_) return;
-      }
-      sim_.worker_loop_body();
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (--pending_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  Simulator& sim_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::vector<std::thread> threads_;
-  std::size_t pending_ = 0;
-  std::uint64_t generation_ = 0;
-  bool shutdown_ = false;
-};
-
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
-
-void Simulator::set_schedule_seed(std::uint64_t seed) noexcept {
-  queue_.set_schedule_seed(seed);
-  for (auto& sp : shards_) sp->queue.set_schedule_seed(seed);
-}
-
-void Simulator::configure_shards(std::uint32_t n_shards, std::uint32_t n_nodes,
-                                 Tick lookahead) {
-  if (!shards_.empty() || !queue_.empty() || events_processed_ != 0) {
-    throw std::logic_error("Simulator: configure_shards() must precede any scheduling");
-  }
-  if (n_nodes == 0) throw std::logic_error("Simulator: configure_shards() needs nodes");
-  n_nodes_ = n_nodes;
-  lookahead_ = std::max<Tick>(lookahead, 1);
-  n_shards = std::min(n_shards, n_nodes);
-  if (n_shards <= 1) return;  // the serial kernel stays in charge
-  shards_.reserve(n_shards);
-  for (std::uint32_t s = 0; s < n_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->index = s;
-    shards_.back()->queue.set_schedule_seed(queue_.schedule_seed());
-    if (trace_.enabled()) shards_.back()->trace.enable(trace_.capacity());
-  }
-  worker_threads_ = shard_worker_threads(n_shards);
-}
-
-void Simulator::enable_trace(std::size_t capacity) {
-  trace_.enable(capacity);
-  for (auto& sp : shards_) sp->trace.enable(capacity);
-}
-
-TraceRecorder Simulator::merged_trace() const {
-  std::vector<const TraceRecorder*> parts;
-  parts.reserve(shards_.size() + 1);
-  parts.push_back(&trace_);
-  for (const auto& sp : shards_) parts.push_back(&sp->trace);
-  return TraceRecorder::merged(parts);
-}
-
-void Simulator::fold_lane_traces() {
-  if (shards_.empty() || !trace_.enabled()) return;
-  trace_ = merged_trace();
-  // Re-arm each lane at its own capacity (enable() clears the ring).
-  for (auto& sp : shards_) sp->trace.enable(sp->trace.capacity());
-}
-
-Tick Simulator::sharded_now() const noexcept {
-  const WindowTls& w = g_window;
-  if (w.sim == this) return shards_[w.shard]->now;
-  return now_;
-}
-
-TraceRecorder& Simulator::lane_trace() noexcept {
-  const WindowTls& w = g_window;
-  if (w.sim == this) return shards_[w.shard]->trace;
-  return trace_;
-}
-
-std::uint32_t Simulator::current_shard() const noexcept {
-  const WindowTls& w = g_window;
-  return (w.sim == this) ? w.shard : 0;
-}
-
-bool Simulator::in_window() const noexcept { return g_window.sim == this; }
-
-// --- scheduling ---------------------------------------------------------
-
-void Simulator::keyed_serial_push(std::uint32_t shard, Tick at, EventFn fn) {
-  Shard& sh = *shards_[shard];
-  const std::uint64_t seq = global_seq_++;
-  sh.queue.push_keyed(at, sh.queue.key_for(seq), seq, std::move(fn));
-}
-
-void Simulator::keyed_serial_push_channel(std::uint32_t shard, Tick at,
-                                          std::uint64_t channel, EventFn fn) {
-  Shard& sh = *shards_[shard];
-  const std::uint64_t seq = global_seq_++;
-  sh.queue.push_keyed(at, sh.queue.channel_key(channel, seq), seq, std::move(fn));
-}
-
-void Simulator::window_push(std::uint32_t shard, Tick at, bool channel_keyed,
-                            std::uint64_t channel, EventFn fn) {
-  Shard& sh = *shards_[shard];
-  if (at < sh.now) throw std::logic_error("Simulator: scheduling into the past");
-  if (!sh.frame_open) {
-    sh.frames.push_back(
-        Frame{sh.cur_at, sh.cur_seq, sh.cur_surrogate,
-              static_cast<std::uint32_t>(sh.pushes.size()), 0});
-    sh.frame_open = true;
-  }
-  ++sh.frames.back().count;
-  if (at < window_end_) {
-    // Fires inside this window, necessarily on this shard: enqueue now
-    // under a surrogate seq (renumbered at the barrier).
-    const std::uint64_t surro = surro_base_ + sh.surro_next++;
-    const std::uint64_t key = channel_keyed ? sh.queue.channel_key(channel, surro)
-                                            : sh.queue.key_for(surro);
-    sh.pushes.push_back(FramePushEntry{FramePushEntry::Kind::kLocal, at, surro, {}, {}});
-    sh.queue.push_keyed(at, key, surro, std::move(fn));
-    return;
-  }
-  sh.pushes.push_back(FramePushEntry{channel_keyed
-                                         ? FramePushEntry::Kind::kDeferredChannel
-                                         : FramePushEntry::Kind::kDeferred,
-                                     at, channel, std::move(fn), {}});
-}
-
-void Simulator::sharded_schedule(Tick delay, EventFn fn) {
-  const WindowTls& w = g_window;
-  if (w.sim == this) {
-    window_push(w.shard, shards_[w.shard]->now + delay, false, 0, std::move(fn));
-    return;
-  }
-  keyed_serial_push(0, now_ + delay, std::move(fn));
-}
-
-void Simulator::sharded_schedule_at(Tick at, EventFn fn) {
-  const WindowTls& w = g_window;
-  if (w.sim == this) {
-    window_push(w.shard, at, false, 0, std::move(fn));
-    return;
-  }
-  if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
-  keyed_serial_push(0, at, std::move(fn));
-}
-
-void Simulator::sharded_schedule_at_channel(Tick at, std::uint64_t channel, EventFn fn) {
-  const WindowTls& w = g_window;
-  if (w.sim == this) {
-    window_push(w.shard, at, true, channel, std::move(fn));
-    return;
-  }
-  if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
-  keyed_serial_push_channel(0, at, channel, std::move(fn));
-}
-
-void Simulator::schedule_on(std::uint32_t shard, Tick delay, EventFn fn) {
-  if (shards_.empty()) {
-    queue_.push(now_ + delay, std::move(fn));
-    return;
-  }
-  if (in_window()) {
-    throw std::logic_error("Simulator: schedule_on() is serial-context only");
-  }
-  keyed_serial_push(std::min<std::uint32_t>(shard, n_shards() - 1), now_ + delay,
-                    std::move(fn));
-}
-
-void Simulator::defer_remote(ReplayFn fn) {
-  const WindowTls& w = g_window;
-  if (w.sim != this) throw std::logic_error("Simulator: defer_remote() outside a window");
-  Shard& sh = *shards_[w.shard];
-  if (!sh.frame_open) {
-    sh.frames.push_back(
-        Frame{sh.cur_at, sh.cur_seq, sh.cur_surrogate,
-              static_cast<std::uint32_t>(sh.pushes.size()), 0});
-    sh.frame_open = true;
-  }
-  ++sh.frames.back().count;
-  sh.pushes.push_back(
-      FramePushEntry{FramePushEntry::Kind::kRemote, 0, 0, {}, std::move(fn)});
-}
-
-void Simulator::replay_push_channel(std::uint32_t shard, Tick at, std::uint64_t channel,
-                                    EventFn fn) {
-  if (shards_.empty()) {
-    queue_.push_channel(at, channel, std::move(fn));
-    return;
-  }
-  keyed_serial_push_channel(shard, at, channel, std::move(fn));
-}
-
-// --- running ------------------------------------------------------------
-
 RunResult Simulator::run(Tick max_cycles) {
-  stop_requested_.store(false, std::memory_order_relaxed);
+  stop_requested_ = false;
   const Tick deadline = (max_cycles == kNever) ? kNever : saturating_add(now_, max_cycles);
-  if (!shards_.empty()) return run_sharded(deadline);
   while (!queue_.empty()) {
-    if (stop_requested_.load(std::memory_order_relaxed)) return RunResult::kStopped;
+    if (stop_requested_) return RunResult::kStopped;
     const Tick t = queue_.next_tick();
     if (t > deadline) return RunResult::kBudget;
     auto [at, fn] = queue_.pop();
@@ -379,203 +14,21 @@ RunResult Simulator::run(Tick max_cycles) {
     ++events_processed_;
     fn();
   }
-  return stop_requested_.load(std::memory_order_relaxed) ? RunResult::kStopped
-                                                         : RunResult::kIdle;
+  return stop_requested_ ? RunResult::kStopped : RunResult::kIdle;
 }
 
 RunResult Simulator::run_until(Tick until) {
-  stop_requested_.store(false, std::memory_order_relaxed);
-  if (!shards_.empty()) {
-    RunResult r = run_sharded(until);
-    if (r == RunResult::kBudget) r = RunResult::kIdle;  // later events stay queued
-    if (now_ < until) now_ = until;
-    return r;
-  }
+  stop_requested_ = false;
   while (!queue_.empty() && queue_.next_tick() <= until) {
-    if (stop_requested_.load(std::memory_order_relaxed)) return RunResult::kStopped;
+    if (stop_requested_) return RunResult::kStopped;
     auto [at, fn] = queue_.pop();
     now_ = at;
     ++events_processed_;
     fn();
   }
-  if (stop_requested_.load(std::memory_order_relaxed)) return RunResult::kStopped;
+  if (stop_requested_) return RunResult::kStopped;
   if (now_ < until) now_ = until;
   return RunResult::kIdle;
-}
-
-RunResult Simulator::run_sharded(Tick deadline) {
-  for (;;) {
-    Tick w = kNever;
-    for (const auto& sp : shards_) {
-      if (!sp->queue.empty()) w = std::min(w, sp->queue.next_tick());
-    }
-    if (w == kNever) return RunResult::kIdle;
-    if (w > deadline) return RunResult::kBudget;
-    Tick we = (lookahead_ > kNever - w) ? kNever : w + lookahead_;
-    if (deadline != kNever && we > deadline) {
-      we = deadline + 1;  // events at the deadline itself still run
-    }
-    exec_window(we);
-    if (stop_requested_.load(std::memory_order_relaxed)) return RunResult::kStopped;
-  }
-}
-
-void Simulator::exec_window(Tick window_end) {
-  window_end_ = window_end;
-  surro_base_ = global_seq_;
-  for (auto& sp : shards_) sp->surro_next = 0;
-  run_workers();
-  Tick t = now_;
-  for (const auto& sp : shards_) t = std::max(t, sp->last_executed);
-  now_ = t;
-  for (auto& sp : shards_) {
-    if (sp->error) {
-      std::exception_ptr e = sp->error;
-      sp->error = nullptr;
-      clear_window_logs();  // the run is over; drop the half-built window
-      std::rethrow_exception(e);
-    }
-  }
-  replay_window();
-}
-
-void Simulator::run_workers() {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  if (worker_threads_ <= 1) {
-    for (std::uint32_t s = 0; s < n; ++s) drain_shard(s);
-    return;
-  }
-  if (!gang_) gang_ = std::make_unique<Gang>(*this, worker_threads_ - 1);
-  next_shard_.store(0, std::memory_order_relaxed);
-  gang_->run();
-}
-
-void Simulator::worker_loop_body() {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  for (;;) {
-    const std::uint32_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-    if (s >= n) return;
-    drain_shard(s);
-  }
-}
-
-void Simulator::drain_shard(std::uint32_t shard) {
-  Shard& sh = *shards_[shard];
-  g_window = WindowTls{this, shard};
-  try {
-    EventQueue& q = sh.queue;
-    while (!q.empty() && q.next_tick() < window_end_) {
-      auto ev = q.pop_ex();
-      sh.now = ev.at;
-      sh.last_executed = ev.at;
-      ++sh.events;
-      sh.cur_at = ev.at;
-      sh.cur_seq = ev.seq;
-      sh.cur_surrogate = ev.seq >= surro_base_;
-      sh.frame_open = false;
-      ev.fn();
-    }
-  } catch (...) {
-    sh.error = std::current_exception();
-  }
-  g_window = WindowTls{};
-}
-
-void Simulator::replay_frame(Shard& sh, const Frame& f) {
-  for (std::uint32_t i = 0; i < f.count; ++i) {
-    FramePushEntry& p = sh.pushes[f.first + i];
-    switch (p.kind) {
-      case FramePushEntry::Kind::kLocal:
-        // The event already fired in-window; it just needs the seq the
-        // serial kernel would have given it, for later frames to resolve.
-        sh.surro_to_seq.emplace(p.aux, global_seq_++);
-        break;
-      case FramePushEntry::Kind::kDeferred:
-        // A deferred local push re-enters its own shard's queue (the target
-        // is node-local state; cross-shard work travels as kRemote).
-        keyed_serial_push(sh.index, p.at, std::move(p.fn));
-        break;
-      case FramePushEntry::Kind::kDeferredChannel:
-        keyed_serial_push_channel(sh.index, p.at, p.aux, std::move(p.fn));
-        break;
-      case FramePushEntry::Kind::kRemote:
-        p.remote(*this);
-        break;
-    }
-  }
-}
-
-void Simulator::replay_window() {
-  const bool exact = (queue_.schedule_seed() == 0);
-  if (!exact) {
-    // Any fixed order is a legal (and deterministic) serialization; FIFO
-    // channels survive because intra-shard frame order is execution order.
-    for (auto& sp : shards_) {
-      for (const Frame& f : sp->frames) replay_frame(*sp, f);
-    }
-    clear_window_logs();
-    return;
-  }
-  // Seed 0: merge frames in the serial kernel's execution order —
-  // ascending (tick, seq) of the executed event, surrogates resolved
-  // through the maps as frames are consumed.
-  struct Head {
-    Tick at;
-    std::uint64_t seq;
-    std::uint32_t shard;
-    std::uint32_t idx;
-  };
-  auto later = [](const Head& a, const Head& b) noexcept {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  };
-  auto resolved = [](const Shard& sh, const Frame& f) {
-    return f.surrogate ? sh.surro_to_seq.at(f.key) : f.key;
-  };
-  std::vector<Head> heap;
-  heap.reserve(shards_.size());
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = *shards_[s];
-    if (!sh.frames.empty()) {
-      // The first frame of a shard's log can never be surrogate-keyed (a
-      // surrogate event's pusher logged an earlier frame on this shard).
-      heap.push_back(Head{sh.frames[0].at, resolved(sh, sh.frames[0]), s, 0});
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Head h = heap.back();
-    heap.pop_back();
-    Shard& sh = *shards_[h.shard];
-    replay_frame(sh, sh.frames[h.idx]);
-    const std::uint32_t ni = h.idx + 1;
-    if (ni < sh.frames.size()) {
-      heap.push_back(Head{sh.frames[ni].at, resolved(sh, sh.frames[ni]), h.shard, ni});
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-  clear_window_logs();
-}
-
-void Simulator::clear_window_logs() {
-  for (auto& sp : shards_) {
-    sp->frames.clear();
-    sp->pushes.clear();
-    sp->surro_to_seq.clear();
-  }
-}
-
-std::uint64_t Simulator::events_processed() const noexcept {
-  std::uint64_t n = events_processed_;
-  for (const auto& sp : shards_) n += sp->events;
-  return n;
-}
-
-std::size_t Simulator::pending_events() const noexcept {
-  std::size_t n = queue_.size();
-  for (const auto& sp : shards_) n += sp->queue.size();
-  return n;
 }
 
 }  // namespace bcsim::sim

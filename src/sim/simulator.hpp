@@ -1,31 +1,15 @@
-// Discrete-event simulator: global clock + event loop, with an optional
-// sharded execution mode (conservative parallel DES).
+// Discrete-event simulator: global clock + event loop.
 //
 // One Simulator per experiment. Components keep a reference and use
 // schedule()/schedule_at() to enqueue future work. run() drains events until
 // the queue empties, a stop condition is hit, or a cycle budget expires.
-//
-// Sharded mode (configure_shards(), DESIGN.md "Sharded PDES kernel"): the
-// event population is partitioned into per-shard EventQueues (nodes map to
-// shards in contiguous ranges) and executed window-by-window. Each window
-// [W, W+L) — L the lookahead, a lower bound on any cross-shard message
-// latency — drains every shard independently (possibly on parallel host
-// threads), then a serial barrier replays the logged pushes to (a) assign
-// the global sequence numbers the serial kernel would have assigned, and
-// (b) route cross-shard messages against the shared contention state. At
-// schedule seed 0 the reconstructed order is *exactly* the serial kernel's,
-// so results are bit-identical to `n_shards = 1` regardless of shard count
-// or host thread count; at nonzero seeds each (seed, n_shards) pair names
-// one deterministic, legal schedule. The serial path (no configure_shards
-// call, or n_shards <= 1) is untouched and remains the reference kernel.
+// The kernel is serial by design: its deterministic schedule is what makes
+// every stats digest reproducible. Host parallelism comes from running
+// independent simulations side by side (sim/sweep.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/trace_recorder.hpp"
@@ -42,115 +26,37 @@ enum class RunResult {
 
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulated time in cycles. In sharded mode, inside an event
-  /// this is the executing shard's local clock (exact for everything the
-  /// event can observe); between windows it is the global low-water mark.
-  [[nodiscard]] Tick now() const noexcept {
-    return shards_.empty() ? now_ : sharded_now();
-  }
+  /// Current simulated time in cycles.
+  [[nodiscard]] Tick now() const noexcept { return now_; }
 
   /// Same-tick tie-break policy (see EventQueue::set_schedule_seed): 0 is
   /// strict FIFO, any other seed a deterministic permutation. Set before
   /// the first schedule() call.
-  void set_schedule_seed(std::uint64_t seed) noexcept;
+  void set_schedule_seed(std::uint64_t seed) noexcept { queue_.set_schedule_seed(seed); }
   [[nodiscard]] std::uint64_t schedule_seed() const noexcept { return queue_.schedule_seed(); }
 
-  // --- sharded kernel configuration -------------------------------------
-
-  /// Switches this simulator to the sharded kernel: `n_shards` event queues
-  /// over `n_nodes` endpoints (clamped to n_shards <= n_nodes), synchronized
-  /// by a conservative window of `lookahead` ticks (clamped to >= 1; pass
-  /// the network's minimum remote-message latency). `n_shards <= 1` keeps
-  /// the serial kernel. Must be called before anything is scheduled.
-  void configure_shards(std::uint32_t n_shards, std::uint32_t n_nodes, Tick lookahead);
-
-  [[nodiscard]] bool sharded() const noexcept { return !shards_.empty(); }
-  [[nodiscard]] std::uint32_t n_shards() const noexcept {
-    return shards_.empty() ? 1u : static_cast<std::uint32_t>(shards_.size());
-  }
-  [[nodiscard]] Tick lookahead() const noexcept { return lookahead_; }
-
-  /// Shard owning `node`'s components (contiguous ranges; 0 when serial).
-  [[nodiscard]] std::uint32_t shard_of_node(NodeId node) const noexcept {
-    if (shards_.empty()) return 0;
-    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(node) * shards_.size() /
-                                      n_nodes_);
-  }
-
-  /// Shard whose event is currently executing on this thread; 0 outside a
-  /// window (serial context) or in the serial kernel.
-  [[nodiscard]] std::uint32_t current_shard() const noexcept;
-
-  /// True while this thread is draining a shard's window (events must not
-  /// touch cross-shard state directly; the network defers such work to the
-  /// barrier via defer_remote()).
-  [[nodiscard]] bool in_window() const noexcept;
-
-  // --- scheduling -------------------------------------------------------
-
-  /// Schedules `fn` to run `delay` cycles from now. In sharded mode, from
-  /// inside an event this targets the executing shard; from serial context
-  /// it targets shard 0 (use schedule_on() to pick a shard).
-  void schedule(Tick delay, EventFn fn) {
-    if (shards_.empty()) {
-      queue_.push(now_ + delay, std::move(fn));
-      return;
-    }
-    sharded_schedule(delay, std::move(fn));
-  }
+  /// Schedules `fn` to run `delay` cycles from now.
+  void schedule(Tick delay, EventFn fn) { queue_.push(now_ + delay, std::move(fn)); }
 
   /// Schedules `fn` at absolute time `at`; `at` must be >= now().
   void schedule_at(Tick at, EventFn fn) {
-    if (shards_.empty()) {
-      if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
-      queue_.push(at, std::move(fn));
-      return;
-    }
-    sharded_schedule_at(at, std::move(fn));
+    if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
+    queue_.push(at, std::move(fn));
   }
 
   /// schedule_at() on an ordering channel: same-tick events on one channel
   /// keep scheduling order under every schedule seed (point-to-point FIFO).
   void schedule_at_channel(Tick at, std::uint64_t channel, EventFn fn) {
-    if (shards_.empty()) {
-      if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
-      queue_.push_channel(at, channel, std::move(fn));
-      return;
-    }
-    sharded_schedule_at_channel(at, channel, std::move(fn));
+    if (at < now_) throw std::logic_error("Simulator: scheduling into the past");
+    queue_.push_channel(at, channel, std::move(fn));
   }
 
-  /// Serial-context scheduling onto a specific shard's queue (e.g. program
-  /// start events, which must land on the shard owning their processor).
-  /// In the serial kernel this is plain schedule(). Must not be called from
-  /// inside a window.
-  void schedule_on(std::uint32_t shard, Tick delay, EventFn fn);
-
-  /// Registers work that must run at the window barrier in serial order —
-  /// the network uses this for cross-shard sends, whose routing reads and
-  /// writes the globally shared contention state. The callback runs on the
-  /// barrier thread with the simulator in serial context; it typically ends
-  /// in replay_push_channel(). Only valid while in_window().
-  using ReplayFn = std::function<void(Simulator&)>;
-  void defer_remote(ReplayFn fn);
-
-  /// Barrier-context push onto `shard`'s queue under the next global
-  /// sequence number — how deferred cross-shard deliveries enter the
-  /// destination queue with exactly the key the serial kernel would have
-  /// used. Only valid from serial context (the barrier or between runs).
-  void replay_push_channel(std::uint32_t shard, Tick at, std::uint64_t channel, EventFn fn);
-
-  // --- running ----------------------------------------------------------
-
-  /// Requests the event loop to return. Serial kernel: after the current
-  /// event. Sharded kernel: at the next window barrier (stopping mid-window
-  /// would make results depend on host thread timing).
-  void stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
+  /// Requests the event loop to return after the current event.
+  void stop() noexcept { stop_requested_ = true; }
 
   /// Runs until the queue drains, stop() is called, or `max_cycles` have
   /// elapsed since the start of this run() call (a safety net against
@@ -160,85 +66,24 @@ class Simulator {
   /// Runs until simulated time reaches `until` (events at `until` included).
   RunResult run_until(Tick until);
 
-  [[nodiscard]] std::uint64_t events_processed() const noexcept;
-  [[nodiscard]] std::size_t pending_events() const noexcept;
-
-  // --- tracing ----------------------------------------------------------
+  [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
+  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
   /// Event-trace recorder. Owned here because every component already
   /// holds a Simulator&; disabled (and free) unless enabled explicitly.
-  /// In sharded mode, inside an event this is the executing shard's private
-  /// lane (no cross-thread writes); merged_trace() reassembles the lanes.
-  [[nodiscard]] TraceRecorder& trace() noexcept {
-    return shards_.empty() ? trace_ : lane_trace();
-  }
-  [[nodiscard]] const TraceRecorder& trace() const noexcept {
-    return shards_.empty() ? trace_ : const_cast<Simulator*>(this)->lane_trace();
-  }
-
-  /// Enables tracing on the main recorder and every shard lane (each gets
-  /// its own ring of `capacity` records).
-  void enable_trace(std::size_t capacity = TraceRecorder::kDefaultCapacity);
-
-  /// Canonical view of the whole trace: every retained record from the main
-  /// recorder and all shard lanes, sorted by the full record tuple — the
-  /// same byte-stable order regardless of shard count (as long as no lane
-  /// overflowed its ring). Exports (`bcsim trace`) use this; the per-lane
-  /// recorders stay insertion-ordered for debugging.
-  [[nodiscard]] TraceRecorder merged_trace() const;
-
-  /// Collapses every shard lane into the main recorder (canonical merged
-  /// order) and clears the lanes, so trace() read from serial context —
-  /// tests, exporters — sees the whole run exactly as if it were serial.
-  /// The Machine calls this when a run ends; between runs the lanes are
-  /// empty and trace() is authoritative. No-op when serial or not tracing.
-  void fold_lane_traces();
+  [[nodiscard]] TraceRecorder& trace() noexcept { return trace_; }
+  [[nodiscard]] const TraceRecorder& trace() const noexcept { return trace_; }
 
  private:
-  struct Shard;   // per-shard queue + window-log state (simulator.cpp)
-  struct Frame;   // one executed event's logged pushes (simulator.cpp)
-  class Gang;     // persistent worker-thread pool (simulator.cpp)
-
   static Tick saturating_add(Tick a, Tick b) noexcept {
     return (b > kNever - a) ? kNever : a + b;
   }
 
-  // Sharded-mode slow paths (simulator.cpp).
-  [[nodiscard]] Tick sharded_now() const noexcept;
-  [[nodiscard]] TraceRecorder& lane_trace() noexcept;
-  void sharded_schedule(Tick delay, EventFn fn);
-  void sharded_schedule_at(Tick at, EventFn fn);
-  void sharded_schedule_at_channel(Tick at, std::uint64_t channel, EventFn fn);
-  void window_push(std::uint32_t shard, Tick at, bool channel_keyed, std::uint64_t channel,
-                   EventFn fn);
-  void keyed_serial_push(std::uint32_t shard, Tick at, EventFn fn);
-  void keyed_serial_push_channel(std::uint32_t shard, Tick at, std::uint64_t channel,
-                                 EventFn fn);
-  RunResult run_sharded(Tick deadline);
-  void exec_window(Tick window_end);
-  void run_workers();
-  void worker_loop_body();
-  void drain_shard(std::uint32_t shard);
-  void replay_window();
-  void replay_frame(Shard& sh, const Frame& f);
-  void clear_window_logs();
-
-  EventQueue queue_;        ///< the serial kernel's single queue
+  EventQueue queue_;
   TraceRecorder trace_;
   Tick now_ = 0;
-  std::atomic<bool> stop_requested_{false};
+  bool stop_requested_ = false;
   std::uint64_t events_processed_ = 0;
-
-  // Sharded-kernel state (empty shards_ == serial kernel).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint32_t n_nodes_ = 0;
-  Tick lookahead_ = 1;
-  Tick window_end_ = 0;          ///< exclusive; constant while workers run
-  std::uint64_t global_seq_ = 0; ///< mirror of the serial kernel's seq counter
-  std::uint64_t surro_base_ = 0; ///< surrogate seqs this window start here
-  std::size_t worker_threads_ = 1;
-  std::atomic<std::uint32_t> next_shard_{0};  ///< work-claiming cursor
-  std::unique_ptr<Gang> gang_;
 };
 
 }  // namespace bcsim::sim

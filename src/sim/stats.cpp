@@ -48,15 +48,6 @@ void Histogram::reset() noexcept {
   max_ = 0;
 }
 
-void Histogram::merge_from(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 Counter& StatsRegistry::counter(std::string_view name) {
   if (auto it = counters_.find(name); it != counters_.end()) return *it->second;
   counter_storage_.emplace_back();
@@ -155,17 +146,6 @@ std::uint64_t StatsRegistry::digest() const noexcept {
 void StatsRegistry::reset_all() noexcept {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, h] : histograms_) h->reset();
-}
-
-void StatsRegistry::absorb(StatsRegistry& other) {
-  for (auto& [name, c] : other.counters_) {
-    counter(name).add(c->value());
-    c->reset();
-  }
-  for (auto& [name, h] : other.histograms_) {
-    histogram(name).merge_from(*h);
-    h->reset();
-  }
 }
 
 }  // namespace bcsim::sim

@@ -49,11 +49,6 @@ class Histogram {
 
   void reset() noexcept;
 
-  /// Adds another histogram's samples to this one. Exact for every moment
-  /// the digest covers (count/sum/min/max) and for the log2 buckets, so
-  /// folding per-shard lanes reproduces the serial histogram bit-for-bit.
-  void merge_from(const Histogram& other) noexcept;
-
  private:
   std::array<std::uint64_t, 65> buckets_{};
   std::uint64_t count_ = 0;
@@ -94,13 +89,6 @@ class StatsRegistry {
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   void reset_all() noexcept;
-
-  /// Folds every statistic of `other` into this registry by name (creating
-  /// missing entries) and resets `other`, leaving its handles valid. The
-  /// sharded kernel gives each shard a private lane registry — components
-  /// bump plain counters with no atomics — and absorbs the lanes after the
-  /// run, reproducing the serial registry's contents exactly.
-  void absorb(StatsRegistry& other);
 
  private:
   std::deque<Counter> counter_storage_;

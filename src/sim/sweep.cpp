@@ -36,92 +36,4 @@ std::size_t sweep_threads() noexcept {
   return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, kMaxSweepThreads);
 }
 
-namespace {
-
-/// Product of the widths of the sweeps currently executing on this process
-/// (1 when none). Guarded by a mutex: registration is per-sweep, not
-/// per-item, so this is nowhere near a hot path.
-std::mutex g_width_mu;
-std::size_t g_sweep_width = 1;
-
-}  // namespace
-
-namespace detail {
-
-SweepWidthGuard::SweepWidthGuard(std::size_t workers) noexcept
-    : workers_(workers == 0 ? 1 : workers) {
-  std::lock_guard<std::mutex> lk(g_width_mu);
-  g_sweep_width *= workers_;
-}
-
-SweepWidthGuard::~SweepWidthGuard() {
-  std::lock_guard<std::mutex> lk(g_width_mu);
-  g_sweep_width /= workers_;
-}
-
-}  // namespace detail
-
-std::size_t active_sweep_workers() noexcept {
-  std::lock_guard<std::mutex> lk(g_width_mu);
-  return g_sweep_width;
-}
-
-namespace {
-/// True when $BCSIM_THREAD_BUDGET supplied a valid value — an explicit
-/// budget is taken at face value (e.g. oversubscribing a small host to
-/// exercise the window gang under TSan), while the hardware default is
-/// additionally clamped to the core count for gang sizing.
-std::atomic<bool> g_budget_explicit{false};
-}  // namespace
-
-std::size_t thread_budget() noexcept {
-  if (const char* env = std::getenv("BCSIM_THREAD_BUDGET")) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    const bool numeric = std::isdigit(static_cast<unsigned char>(env[0])) != 0 &&
-                         *end == '\0' && errno != ERANGE;
-    if (numeric && v >= 1) {
-      g_budget_explicit.store(true, std::memory_order_relaxed);
-      return std::min<std::size_t>(static_cast<std::size_t>(v), 4096);
-    }
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "bcsim: ignoring invalid BCSIM_THREAD_BUDGET='%s' "
-                   "(expected an integer >= 1); using hardware default\n",
-                   env);
-    }
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max<std::size_t>(hw == 0 ? 1 : hw, kMaxSweepThreads);
-}
-
-std::size_t shard_worker_threads(std::size_t n_shards) noexcept {
-  if (n_shards <= 1) return 1;
-  const std::size_t budget = thread_budget();
-  const std::size_t width = active_sweep_workers();
-  const std::size_t share = std::max<std::size_t>(1, budget / std::max<std::size_t>(1, width));
-  // Unlike sweep workers (whole independent runs, where oversubscription
-  // just queues), gang workers rendezvous at every window barrier; threads
-  // beyond the core count only add context switches to each window. An
-  // explicit BCSIM_THREAD_BUDGET bypasses the clamp (deliberate
-  // oversubscription, e.g. racing the gang under TSan on a small host).
-  const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t hw_cap =
-      g_budget_explicit.load(std::memory_order_relaxed) ? n_shards : cores;
-  const std::size_t threads = std::min({share, n_shards, hw_cap});
-  if (threads < n_shards && width > 1) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "bcsim: clamping shard workers to %zu for %zu shards — thread "
-                   "budget %zu is shared with a %zu-wide sweep (results are "
-                   "unaffected; set BCSIM_THREAD_BUDGET to raise the cap)\n",
-                   threads, n_shards, budget, width);
-    }
-  }
-  return threads;
-}
-
 }  // namespace bcsim::sim

@@ -24,45 +24,6 @@ inline constexpr std::size_t kMaxSweepThreads = 64;
 /// [1, kMaxSweepThreads].
 [[nodiscard]] std::size_t sweep_threads() noexcept;
 
-/// The process-wide host-thread budget shared by every parallelism source
-/// (sweep workers, sharded-kernel workers): BCSIM_THREAD_BUDGET if set to a
-/// valid integer >= 1 (invalid values ignored with a one-time warning),
-/// else max(hardware concurrency, kMaxSweepThreads) — i.e. non-binding by
-/// default so explicit BCSIM_SWEEP_THREADS choices keep working. Without
-/// this cap a sweep of sharded runs would spawn workers x shards threads.
-[[nodiscard]] std::size_t thread_budget() noexcept;
-
-///// Worker threads a sharded Simulator may use for `n_shards` shards: the
-/// budget divided by the width of any sweep currently running (each sweep
-/// worker may be driving its own sharded Machine), clamped to
-/// [1, n_shards]. With the default (hardware) budget the gang is further
-/// clamped to the core count — gang workers rendezvous at every window
-/// barrier, so oversubscription only adds context switches; an explicit
-/// BCSIM_THREAD_BUDGET bypasses that clamp (deliberate oversubscription,
-/// e.g. racing the gang under TSan on a small host). Warns once when an
-/// active sweep clamps it below n_shards — raise BCSIM_THREAD_BUDGET to
-/// trade memory for parallelism. The clamp only throttles host threads;
-/// shard *schedules* are thread-count-independent, so results never change.
-[[nodiscard]] std::size_t shard_worker_threads(std::size_t n_shards) noexcept;
-
-/// Sweep workers currently executing (>= 1; nested sweeps multiply).
-[[nodiscard]] std::size_t active_sweep_workers() noexcept;
-
-namespace detail {
-/// RAII registration of a running sweep's worker count, so concurrently
-/// constructed sharded Machines can size their gangs within the budget.
-class SweepWidthGuard {
- public:
-  explicit SweepWidthGuard(std::size_t workers) noexcept;
-  ~SweepWidthGuard();
-  SweepWidthGuard(const SweepWidthGuard&) = delete;
-  SweepWidthGuard& operator=(const SweepWidthGuard&) = delete;
-
- private:
-  std::size_t workers_;
-};
-}  // namespace detail
-
 /// Runs fn(i) for i in [0, n) across worker threads; results are returned
 /// in index order. The first exception (if any) is re-thrown after all
 /// workers finish.
@@ -70,8 +31,7 @@ template <typename R>
 std::vector<R> parallel_map(std::size_t n, const std::function<R(std::size_t)>& fn) {
   std::vector<R> results(n);
   if (n == 0) return results;
-  const std::size_t workers = std::min({sweep_threads(), n, thread_budget()});
-  detail::SweepWidthGuard width_guard(workers);
+  const std::size_t workers = std::min(sweep_threads(), n);
   std::mutex mu;
   std::size_t next = 0;
   std::exception_ptr error;

@@ -4,10 +4,8 @@
 // stays dependency-free so sim::Simulator can own the recorder by value.
 #include "sim/trace_recorder.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <string>
-#include <tuple>
 
 #include "cache/cache_line.hpp"
 #include "mem/directory_entry.hpp"
@@ -196,27 +194,6 @@ void TraceRecorder::write_csv(std::ostream& os) const {
     os << ',' << r.block << ',' << static_cast<unsigned>(r.detail) << ','
        << static_cast<unsigned>(r.detail2) << ',' << r.value << '\n';
   });
-}
-
-TraceRecorder TraceRecorder::merged(const std::vector<const TraceRecorder*>& parts) {
-  std::vector<TraceRecord> all;
-  std::size_t total = 0;
-  for (const TraceRecorder* p : parts) total += p->size();
-  all.reserve(total);
-  for (const TraceRecorder* p : parts) {
-    p->for_each([&](const TraceRecord& r) { all.push_back(r); });
-  }
-  // Full-tuple order: ties are identical records, so the sorted sequence —
-  // and therefore every export — is independent of lane count/assignment.
-  std::sort(all.begin(), all.end(), [](const TraceRecord& a, const TraceRecord& b) {
-    return std::tie(a.tick, a.node, a.peer, a.kind, a.code, a.detail, a.detail2, a.block,
-                    a.value) < std::tie(b.tick, b.node, b.peer, b.kind, b.code, b.detail,
-                                        b.detail2, b.block, b.value);
-  });
-  TraceRecorder out;
-  out.enable(total == 0 ? 1 : total);
-  for (const TraceRecord& r : all) out.record(r);
-  return out;
 }
 
 void TraceRecorder::dump_tail(std::ostream& os, std::size_t n) const {

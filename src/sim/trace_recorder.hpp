@@ -158,14 +158,6 @@ class TraceRecorder {
     }
   }
 
-  /// Canonical merge of several recorders (the sharded kernel records into
-  /// per-shard lanes so concurrent emitters never share a ring): every
-  /// retained record of every part, sorted by the full record tuple
-  /// (tick first). The result is byte-stable across shard counts — lane
-  /// assignment can't leak into exports — provided no lane overflowed its
-  /// ring.
-  [[nodiscard]] static TraceRecorder merged(const std::vector<const TraceRecorder*>& parts);
-
   /// Chrome trace-event JSON ({"traceEvents":[...]}, loadable in
   /// chrome://tracing or Perfetto): one process per node, one thread per
   /// unit (proc/sync, cache, write buffer, directory, network).

@@ -72,7 +72,7 @@ sim::Task FftPhasesWorkload::run(Processor& p) {
 
 void FftPhasesWorkload::spawn_all(Machine& machine) {
   for (NodeId i = 0; i < n_; ++i) {
-    machine.spawn_on(i, run(machine.processor(i)));
+    machine.spawn(run(machine.processor(i)));
   }
 }
 

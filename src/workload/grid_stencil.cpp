@@ -106,7 +106,7 @@ sim::Task GridStencilWorkload::run(Processor& p) {
 }
 
 void GridStencilWorkload::spawn_all(Machine& machine) {
-  for (NodeId i = 0; i < n_; ++i) machine.spawn_on(i, run(machine.processor(i)));
+  for (NodeId i = 0; i < n_; ++i) machine.spawn(run(machine.processor(i)));
 }
 
 std::vector<double> GridStencilWorkload::reference() const {

@@ -82,7 +82,7 @@ sim::Task LinearSolverWorkload::run(Processor& p) {
 
 void LinearSolverWorkload::spawn_all(Machine& machine) {
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
-    machine.spawn_on(i, run(machine.processor(i)));
+    machine.spawn(run(machine.processor(i)));
   }
 }
 

@@ -85,7 +85,7 @@ sim::Task StencilWorkload::run(Processor& p) {
 }
 
 void StencilWorkload::spawn_all(Machine& machine) {
-  for (NodeId i = 0; i < n_; ++i) machine.spawn_on(i, run(machine.processor(i)));
+  for (NodeId i = 0; i < n_; ++i) machine.spawn(run(machine.processor(i)));
 }
 
 std::vector<double> StencilWorkload::reference() const {

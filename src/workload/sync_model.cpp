@@ -80,7 +80,7 @@ sim::Task SyncModelWorkload::run(Processor& p) {
 
 void SyncModelWorkload::spawn_all(Machine& machine) {
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
-    machine.spawn_on(i, run(machine.processor(i)));
+    machine.spawn(run(machine.processor(i)));
   }
 }
 

@@ -285,7 +285,7 @@ sim::Task TraceWorkload::run(Processor& p, const std::vector<TraceRecord>& strea
 void TraceWorkload::spawn_all(Machine& machine) {
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
     if (spawn_idle_nodes_ || !streams_[i].empty()) {
-      machine.spawn_on(i, run(machine.processor(i), streams_[i]));
+      machine.spawn(run(machine.processor(i), streams_[i]));
     }
   }
 }

@@ -127,9 +127,9 @@ class TraceRecorder {
 
   core::Machine* machine_;
   Trace trace_;
-  /// One lane per node: a hook appends only to its own node's lane, so
-  /// recording is race-free — and deterministic — under the sharded
-  /// kernel (the same discipline as Machine's per-shard stats lanes).
+  /// One lane per node: a hook appends only to its own node's lane, and
+  /// flush() concatenates the lanes in node order. That order is the byte
+  /// layout of every recorded trace file.
   std::vector<std::vector<TraceRecord>> per_node_;
 };
 

@@ -116,7 +116,7 @@ sim::Task WorkQueueWorkload::run(Processor& p) {
 
 void WorkQueueWorkload::spawn_all(Machine& machine) {
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
-    machine.spawn_on(i, run(machine.processor(i)));
+    machine.spawn(run(machine.processor(i)));
   }
 }
 

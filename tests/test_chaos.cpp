@@ -121,7 +121,7 @@ void expect_transparent(const char* spec, const char* must_fire) {
   const Addr spread = alloc.alloc_blocks(2);
   constexpr int kIters = 12;
   for (NodeId n = 0; n < 4; ++n) {
-    m.spawn_on(n, add_and_read(m.processor(n), counter, spread, kIters));
+    m.spawn(add_and_read(m.processor(n), counter, spread, kIters));
   }
   run_all(m);
   EXPECT_EQ(m.peek_coherent(counter), 4u * kIters) << "under plan " << spec;
@@ -163,7 +163,7 @@ TEST(Transport, RetransmitCounterTracksRecoveries) {
   const Addr counter = alloc.alloc_blocks(1);
   const Addr spread = alloc.alloc_blocks(2);
   for (NodeId n = 0; n < 4; ++n) {
-    m.spawn_on(n, add_and_read(m.processor(n), counter, spread, 12));
+    m.spawn(add_and_read(m.processor(n), counter, spread, 12));
   }
   run_all(m);
   EXPECT_GE(m.stats().counter_value("net.retransmit"),
@@ -204,8 +204,8 @@ TEST(Watchdog, DroppedLockHandoffWithoutRetriesIsDeadlock) {
   Machine m(cfg);
   auto alloc = m.make_allocator();
   const Addr lock = alloc.alloc_blocks(1);
-  m.spawn_on(0, lock_cs_unlock(m.processor(0), lock, 2000));
-  m.spawn_on(1, delayed_lock(m.processor(1), lock));
+  m.spawn(lock_cs_unlock(m.processor(0), lock, 2000));
+  m.spawn(delayed_lock(m.processor(1), lock));
   try {
     m.run(1'000'000);
     FAIL() << "expected LivenessViolation";
@@ -236,7 +236,7 @@ TEST(Watchdog, ExhaustedRetriesAreDiagnosedNotHung) {
   auto reader = [](Processor& p, Addr a, Word& out) -> sim::Task {
     out = co_await p.read(a);
   };
-  m.spawn_on(0, reader(m.processor(0), 4 * 1, seen));  // block homed at node 1
+  m.spawn(reader(m.processor(0), 4 * 1, seen));  // block homed at node 1
   try {
     m.run(10'000'000);
     FAIL() << "expected LivenessViolation";
@@ -257,7 +257,7 @@ TEST(Watchdog, ComputeOnlySpinIsLivelock) {
   cfg.watchdog_interval = 512;
   cfg.watchdog_stalls = 3;
   Machine m(cfg);
-  m.spawn_on(0, spin_forever(m.processor(0)));
+  m.spawn(spin_forever(m.processor(0)));
   try {
     m.run(1'000'000);
     FAIL() << "expected LivenessViolation";
@@ -272,7 +272,7 @@ TEST(Watchdog, OffByDefaultBudgetStaysARuntimeError) {
   auto cfg = small_config(2);
   ASSERT_EQ(cfg.watchdog_interval, 0u);
   Machine m(cfg);
-  m.spawn_on(0, spin_forever(m.processor(0)));
+  m.spawn(spin_forever(m.processor(0)));
   EXPECT_THROW(m.run(10'000), std::runtime_error);
 }
 

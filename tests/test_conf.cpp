@@ -265,6 +265,11 @@ TEST(ConfTable, UnknownKeyRejectedWithLocation) {
   (void)t.get_int("m.known", 0);
   expect_conf_error([&] { t.expect_all_consumed(); },
                     {"<string>:3", "unknown key 'm.bogus'"});
+  // A removed knob is just another unknown key.
+  const Table removed = parse_string("[machine]\nnodes = 8\nshards = 4\n");
+  (void)resolve_scenario(removed);
+  expect_conf_error([&] { removed.expect_all_consumed(); },
+                    {"<string>:3", "unknown key 'machine.shards'"});
 }
 
 TEST(ConfTable, IgnoredSectionsAreExemptFromTheSweep) {

@@ -3,12 +3,13 @@
 // to the same table, and — for each run description — produce a stats
 // digest bit-identical to the equivalent flag-built run (the flag
 // spelling each file documents in its header comment). The CLI-level
-// version of the grid (through the real binary, serial and sharded) is
-// the conf_*_matches_flags ctest battery in tools/CMakeLists.txt.
+// version of the grid (through the real binary) is the
+// conf_*_matches_flags ctest battery in tools/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,14 @@ std::uint64_t run_digest(const conf::Scenario& s) {
 void expect_matches_flags(const std::string& name, const conf::Scenario& flags) {
   SCOPED_TRACE(name);
   EXPECT_EQ(run_digest(load(name)), run_digest(flags));
+}
+
+TEST(ConfigsGrid, BuildMachineRejectsAShardCount) {
+  // MachineSpec::shards is a compatibility member, not a knob.
+  conf::MachineSpec spec;
+  EXPECT_NO_THROW((void)conf::build_machine(spec));
+  spec.shards = 2;
+  EXPECT_THROW((void)conf::build_machine(spec), std::invalid_argument);
 }
 
 TEST(ConfigsGrid, PaperBaselineMatchesFlagRun) {

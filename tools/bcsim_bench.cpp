@@ -105,30 +105,6 @@ E2eResult run_e2e(const std::string& flavor, bool smoke) {
   return r;
 }
 
-/// Work-queue run for the sharded-kernel comparison: the paper machine at
-/// bench scale (wider than the flavor e2e runs — shard parallelism needs
-/// nodes to split). Same workload, same seed; only `n_shards` varies, and
-/// simulated results must not.
-E2eResult run_shard_e2e(std::uint32_t nodes, std::uint32_t n_shards, bool smoke) {
-  auto cfg = flavor_config("paper", nodes);
-  cfg.n_nodes = nodes;
-  cfg.n_shards = n_shards;
-  workload::WorkQueueConfig wq;
-  wq.total_tasks = smoke ? 128 : 1024;
-  wq.grain = smoke ? 20 : 100;
-  core::Machine m(cfg);
-  workload::WorkQueueWorkload w(m, wq);
-  w.spawn_all(m);
-  E2eResult r;
-  const auto t0 = Clock::now();
-  r.completion = m.run(4'000'000'000ULL);
-  r.wall_ms = elapsed_ns(t0) / 1e6;
-  r.messages = m.stats().counter_value("net.messages");
-  r.events = m.simulator().events_processed();
-  r.digest = m.stats_digest();
-  return r;
-}
-
 /// Work-queue run on a bounded (credit-flow) fabric, optionally with the
 /// coarse-vector directory overflow. These cells pin the new subsystems'
 /// simulated results in the baseline; the unbounded e2e.* digests above
@@ -350,56 +326,6 @@ int run_bench(const BenchOptions& o) {
     digests.emplace_back(p, hex64(a.digest));
     std::printf("  e2e    %-13s %8.1f ms  %10llu ticks  digest %s\n", fc.name, a.wall_ms,
                 static_cast<unsigned long long>(a.completion), hex64(a.digest).c_str());
-  }
-
-  {
-    // Sharded kernel vs the serial reference on one wider work-queue run.
-    // The digest gate is the point: `--shards 4` must be bit-identical to
-    // serial, so between baselines only the wall-clock numbers may move.
-    // (Speedup is host-dependent — a single-core runner reports ~1.0x or
-    // the window overhead; see docs/BENCHMARKS.md "Sharded kernel".)
-    const std::uint32_t wq_nodes = o.smoke ? 64u : 256u;
-    const auto best_of_two = [&](std::uint32_t shards, bool& ok) {
-      E2eResult a = run_shard_e2e(wq_nodes, shards, o.smoke);
-      const E2eResult b = run_shard_e2e(wq_nodes, shards, o.smoke);
-      ok = a.digest == b.digest && a.completion == b.completion && a.messages == b.messages;
-      a.wall_ms = std::min(a.wall_ms, b.wall_ms);
-      return a;
-    };
-    bool ok1 = false;
-    bool ok4 = false;
-    const E2eResult s1 = best_of_two(1, ok1);
-    const E2eResult s4 = best_of_two(4, ok4);
-    if (!ok1 || !ok4) {
-      std::fprintf(stderr,
-                   "bcsim bench: e2e.shard is nondeterministic — refusing to write results\n");
-      return 1;
-    }
-    if (s1.digest != s4.digest || s1.completion != s4.completion ||
-        s1.messages != s4.messages) {
-      std::fprintf(stderr,
-                   "bcsim bench: sharded kernel diverged from serial "
-                   "(digests %s vs %s, completion %llu vs %llu) — refusing to write results\n",
-                   hex64(s1.digest).c_str(), hex64(s4.digest).c_str(),
-                   static_cast<unsigned long long>(s1.completion),
-                   static_cast<unsigned long long>(s4.completion));
-      return 1;
-    }
-    const double ticks = static_cast<double>(s1.completion);
-    metrics.push_back({"e2e.shard.s1.wall_ms", s1.wall_ms, "ms", false, false});
-    metrics.push_back({"e2e.shard.s1.sim_ticks_per_sec", ticks / (s1.wall_ms / 1e3),
-                       "ticks/s", true, false});
-    metrics.push_back({"e2e.shard.s4.wall_ms", s4.wall_ms, "ms", false, false});
-    metrics.push_back({"e2e.shard.s4.sim_ticks_per_sec", ticks / (s4.wall_ms / 1e3),
-                       "ticks/s", true, false});
-    metrics.push_back({"e2e.shard.speedup_x", s1.wall_ms / s4.wall_ms, "x", true, false});
-    metrics.push_back({"e2e.shard.completion_ticks", ticks, "ticks", false, true});
-    metrics.push_back({"e2e.shard.messages", static_cast<double>(s1.messages), "msgs", false,
-                       true});
-    digests.emplace_back("e2e.shard", hex64(s4.digest));
-    std::printf("  e2e    shard  n=%u  s1 %8.1f ms  s4 %8.1f ms  speedup %.2fx  digest %s\n",
-                wq_nodes, s1.wall_ms, s4.wall_ms, s1.wall_ms / s4.wall_ms,
-                hex64(s4.digest).c_str());
   }
 
   const std::string out = o.out.empty() ? "BENCH_" + o.revision + ".json" : o.out;

@@ -21,8 +21,6 @@
 //   -k key=value         override one config key (repeatable)
 //   --dump-config        print the resolved config table and exit
 //   --nodes N            processors [16]
-//   --shards N           host-parallel simulation shards; 1 = serial
-//                        reference kernel [$BCSIM_SHARDS or 1]
 //   --machine M          paper | wbi | cbl-on-wbi [paper]
 //   --consistency C      sc | bc (paper machine only) [bc]
 //   --lock L             cbl | tts | tts-backoff | ticket | mcs [per machine]
@@ -267,10 +265,6 @@ Options parse_args(int argc, char** argv) {
     if (a == "--config" || a == "-k") ++i;  // handled by load_config
     else if (a == "--dump-config") {}       // handled by load_config
     else if (a == "--nodes") o.machine.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--shards") {
-      o.machine.shards = conf::parse_u32(a, need(i));
-      if (o.machine.shards == 0) usage_error("--shards must be >= 1");
-    }
     else if (a == "--machine") o.machine.flavor = need(i);
     else if (a == "--consistency") o.machine.consistency = need(i);
     else if (a == "--lock") o.machine.lock = need(i);
@@ -587,7 +581,7 @@ CaseResult case_lock_counter(const core::MachineConfig& cfg) {
       }
     }
   } prog{lock};
-  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn_on(i, prog(m.processor(i)));
+  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(prog(m.processor(i)));
   CaseResult r;
   r.completion = m.run(kCheckBudget);
   r.messages = m.stats().counter_value("net.messages");
@@ -638,8 +632,8 @@ CaseResult case_rw_lock(const core::MachineConfig& cfg) {
   };
   bool torn = false;
   Reader reader{lock, torn};
-  m.spawn_on(0, writer(m.processor(0)));
-  for (NodeId i = 1; i < cfg.n_nodes; ++i) m.spawn_on(i, reader(m.processor(i)));
+  m.spawn(writer(m.processor(0)));
+  for (NodeId i = 1; i < cfg.n_nodes; ++i) m.spawn(reader(m.processor(i)));
   CaseResult r;
   r.completion = m.run(kCheckBudget);
   r.messages = m.stats().counter_value("net.messages");
@@ -700,8 +694,8 @@ CaseResult case_message_passing(const core::MachineConfig& cfg) {
       seen = ru ? co_await p.read_update(data) : co_await p.read(data);
     }
   } reader{data, flag, ru, seen};
-  m.spawn_on(0, writer(m.processor(0)));
-  m.spawn_on(cfg.n_nodes - 1, reader(m.processor(cfg.n_nodes - 1)));
+  m.spawn(writer(m.processor(0)));
+  m.spawn(reader(m.processor(cfg.n_nodes - 1)));
   // A couple of bystander subscribers/sharers lengthen the delivery chains.
   struct Bystander {
     Addr data;
@@ -715,7 +709,7 @@ CaseResult case_message_passing(const core::MachineConfig& cfg) {
     }
   } bystander{data, ru};
   for (NodeId i = 1; i + 1 < cfg.n_nodes && i <= 2; ++i) {
-    m.spawn_on(i, bystander(m.processor(i)));
+    m.spawn(bystander(m.processor(i)));
   }
   CaseResult r;
   r.completion = m.run(kCheckBudget);
@@ -751,7 +745,7 @@ CaseResult case_barrier_phases(const core::MachineConfig& cfg) {
       sums[p.id()] = s;
     }
   } prog{bar, base, n, sums};
-  for (NodeId i = 0; i < n; ++i) m.spawn_on(i, prog(m.processor(i)));
+  for (NodeId i = 0; i < n; ++i) m.spawn(prog(m.processor(i)));
   CaseResult r;
   r.completion = m.run(kCheckBudget);
   r.messages = m.stats().counter_value("net.messages");
@@ -839,7 +833,7 @@ CaseResult case_fuzz(const core::MachineConfig& cfg) {
       co_await p.flush_buffer();
     }
   } prog{{0, 16, 32}, 60, ru};
-  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn_on(i, prog(m.processor(i)));
+  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(prog(m.processor(i)));
   CaseResult r;
   r.completion = m.run(kCheckBudget);
   r.messages = m.stats().counter_value("net.messages");
