@@ -1,5 +1,6 @@
 #include "conf/conf.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -448,7 +449,12 @@ std::int64_t Table::get_int(std::string_view key, std::int64_t def, std::int64_t
   return v.i;
 }
 
-std::uint64_t Table::get_u64(std::string_view key, std::uint64_t def) const {
+std::uint64_t Table::get_u64(std::string_view key, std::uint64_t def,
+                             std::uint64_t min) const {
+  if (min > 0) {
+    return static_cast<std::uint64_t>(get_int(key, static_cast<std::int64_t>(def),
+                                              static_cast<std::int64_t>(min)));
+  }
   if (!has(key)) return def;
   const Value& v = require(key);
   if (v.kind != Value::Kind::kInt) {
@@ -483,20 +489,46 @@ std::string Table::get_string(std::string_view key, std::string_view def) const 
   return v.s;
 }
 
-std::string Table::get_name(std::string_view key, std::string_view def,
-                            const std::vector<std::string_view>& allowed) const {
-  const std::string s = get_string(key, def);
-  for (const auto& a : allowed) {
-    if (s == a) return s;
-  }
+std::uint32_t Table::get_u32(std::string_view key, std::uint32_t def, std::uint32_t min,
+                             std::uint32_t max) const {
+  return static_cast<std::uint32_t>(get_int(key, def, min, max));
+}
+
+namespace {
+
+/// Throws unless `s` is one of `allowed`, naming the key and the choices.
+void check_name(const Table& t, std::string_view key, const std::string& s,
+                const std::vector<std::string_view>& allowed) {
+  if (std::find(allowed.begin(), allowed.end(), s) != allowed.end()) return;
   std::string list;
   for (const auto& a : allowed) {
     if (!list.empty()) list += ", ";
     list += a;
   }
-  const SourceLoc where = has(key) ? loc(key) : SourceLoc{};
-  throw ConfError(where, "key '" + std::string(key) + "' = '" + s +
-                             "' is not one of {" + list + "}");
+  throw ConfError(t.has(key) ? t.loc(key) : SourceLoc{},
+                  "key '" + std::string(key) + "' = '" + s + "' is not one of {" + list + "}");
+}
+
+}  // namespace
+
+std::string Table::get_name(std::string_view key, std::string_view def,
+                            const std::vector<std::string_view>& allowed) const {
+  std::string s = get_string(key, def);
+  check_name(*this, key, s, allowed);
+  return s;
+}
+
+std::vector<std::string> Table::get_list(std::string_view key,
+                                         const std::vector<std::string_view>& allowed) const {
+  std::vector<std::string> out;
+  if (!has(key)) return out;
+  const std::string list = get_string(key, "");
+  for (std::size_t pos = 0, comma = 0; comma != std::string::npos; pos = comma + 1) {
+    comma = list.find(',', pos);
+    out.push_back(list.substr(pos, comma == std::string::npos ? comma : comma - pos));
+    if (!allowed.empty()) check_name(*this, key, out.back(), allowed);
+  }
+  return out;
 }
 
 const SourceLoc& Table::loc(std::string_view key) const {

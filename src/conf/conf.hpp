@@ -35,16 +35,19 @@
 
 namespace bcsim::conf {
 
-/// Where a value (or directive) came from, for diagnostics.
+/// Where a value (or directive) came from, for diagnostics. Line 0 means
+/// no line: a whole file, or a command-line flag ("<flag --nodes>").
 struct SourceLoc {
   std::string file = "<none>";
   std::size_t line = 0;
-  [[nodiscard]] std::string str() const { return file + ":" + std::to_string(line); }
+  [[nodiscard]] std::string str() const {
+    return line == 0 ? file : file + ":" + std::to_string(line);
+  }
 };
 
 /// Every config failure — parse, type, range, or schema — is a ConfError
-/// whose message starts with "file:line:". Tools translate it into a
-/// usage error (exit 2).
+/// whose message starts with "file:line:" (or the flag's name). Tools
+/// translate it into a usage error (exit 2).
 class ConfError : public std::runtime_error {
  public:
   ConfError(const SourceLoc& loc, const std::string& msg)
@@ -92,13 +95,21 @@ class Table {
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def,
                                      std::int64_t min = INT64_MIN,
                                      std::int64_t max = INT64_MAX) const;
-  [[nodiscard]] std::uint64_t get_u64(std::string_view key, std::uint64_t def) const;
+  [[nodiscard]] std::uint64_t get_u64(std::string_view key, std::uint64_t def,
+                                      std::uint64_t min = 0) const;
+  [[nodiscard]] std::uint32_t get_u32(std::string_view key, std::uint32_t def,
+                                      std::uint32_t min = 0,
+                                      std::uint32_t max = UINT32_MAX) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;
   [[nodiscard]] std::string get_string(std::string_view key, std::string_view def) const;
   /// get_string restricted to a closed name set; rejects others listing
   /// the alternatives.
   [[nodiscard]] std::string get_name(std::string_view key, std::string_view def,
                                      const std::vector<std::string_view>& allowed) const;
+  /// A comma-separated list (empty elements included); absent = empty. With
+  /// a non-empty `allowed`, every element must be one of those names.
+  [[nodiscard]] std::vector<std::string> get_list(
+      std::string_view key, const std::vector<std::string_view>& allowed = {}) const;
 
   /// Location of a key (for consumers that need to point at it). The key
   /// must exist.
@@ -131,6 +142,11 @@ class Table {
   /// table state (parse-time helper; exposed for the override path and
   /// tests).
   void assign(const std::string& key, const std::string& expr, const SourceLoc& loc);
+
+  /// Assigns an already-typed value, bypassing expression evaluation (the
+  /// command-line flag path: `--out ./x.json` is a path, not an expression).
+  void set(const std::string& key, Value v) { entries_[key] = std::move(v); }
+  void erase(const std::string& key) { entries_.erase(key); }
 
  private:
   friend Table parse_stream(std::istream&, const std::string&,

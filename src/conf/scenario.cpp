@@ -1,7 +1,6 @@
 #include "conf/scenario.hpp"
 
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
 #include "conf/strict_parse.hpp"
@@ -68,8 +67,6 @@ core::MachineConfig build_machine(const MachineSpec& o) {
 
 namespace {
 
-constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
-
 /// Present-only percentage knob: leaves the struct's double default
 /// untouched when the key is absent, so config-built defaults stay
 /// bit-identical to flag-built ones.
@@ -80,8 +77,8 @@ void pct(const Table& t, std::string_view key, double& field) {
 }
 
 void u32_knob(const Table& t, std::string_view key, std::uint32_t& field,
-              std::int64_t min = 0, std::int64_t max = kU32Max) {
-  field = static_cast<std::uint32_t>(t.get_int(key, field, min, max));
+              std::uint32_t min = 0, std::uint32_t max = UINT32_MAX) {
+  field = t.get_u32(key, field, min, max);
 }
 
 }  // namespace
@@ -160,17 +157,17 @@ Scenario resolve_scenario(const Table& t) {
     w.sync_model.schedule_seed =
         t.get_u64("workload.schedule_seed", w.sync_model.schedule_seed);
   } else if (w.kind == "solver") {
-    u32_knob(t, "workload.iterations", w.solver.iterations, 1);
+    u32_knob(t, "workload.iterations", w.solver.iterations);
     w.solver.matrix_seed = t.get_u64("workload.matrix_seed", w.solver.matrix_seed);
     w.solver.separate_x_blocks =
         t.get_bool("workload.separate_x_blocks", w.solver.separate_x_blocks);
   } else if (w.kind == "stencil") {
     u32_knob(t, "workload.cells_per_proc", w.stencil.cells_per_proc, 1);
-    u32_knob(t, "workload.sweeps", w.stencil.sweeps, 1);
+    u32_knob(t, "workload.sweeps", w.stencil.sweeps);
     w.stencil.data_seed = t.get_u64("workload.data_seed", w.stencil.data_seed);
   } else if (w.kind == "grid") {
     u32_knob(t, "workload.grid", w.grid.grid, 2);
-    u32_knob(t, "workload.sweeps", w.grid.sweeps, 1);
+    u32_knob(t, "workload.sweeps", w.grid.sweeps);
     w.grid.data_seed = t.get_u64("workload.data_seed", w.grid.data_seed);
   } else if (w.kind == "fft") {
     u32_knob(t, "workload.words_per_region", w.fft.words_per_region, 1);

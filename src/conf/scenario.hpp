@@ -1,9 +1,9 @@
 // Scenario: the one construction path from a declarative description —
-// flag values or a resolved config Table — to a live MachineConfig and
-// workload. Both the legacy flag path and `--config` runs funnel through
-// build_machine()/WorkloadInstance, which is what makes a config-built
-// run bit-identical to its flag-built equivalent (the golden conformance
-// grid in tests/test_configs.cpp pins this).
+// a resolved config Table, whose keys CLI flags alias (conf/options.hpp)
+// — to a live MachineConfig and workload. Every run funnels through
+// resolve_scenario()/build_machine()/WorkloadInstance, which is what makes
+// a config-built run bit-identical to its flag-built equivalent (the
+// golden conformance grid in tests/test_configs.cpp pins this).
 //
 // Config schema (docs/CONFIGS.md):
 //
@@ -67,6 +67,7 @@ struct MachineSpec {
   std::size_t trace_dump = 64;
   bool trace = false;  ///< event-trace recorder (the `trace` subcommand)
   std::size_t trace_capacity = std::size_t{1} << 16;
+  bool operator==(const MachineSpec&) const = default;
 };
 
 /// Resolves a MachineSpec into a validated MachineConfig — the exact

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 namespace bcsim::conf {
 
@@ -17,26 +16,6 @@ std::uint64_t parse_u64(const std::string& what, const std::string& s) {
     if (*end == '\0' && errno != ERANGE) return v;
   }
   throw UsageError(what + " expects a non-negative integer, got '" + s + "'");
-}
-
-std::uint32_t parse_u32(const std::string& what, const std::string& s) {
-  const std::uint64_t v = parse_u64(what, s);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw UsageError(what + " value " + s + " is out of range");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-void split_list(const std::string& list,
-                const std::function<void(const std::string&)>& each) {
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    each(list.substr(pos,
-                     comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
 }
 
 core::LockImpl parse_lock(const std::string& s) {

@@ -1,17 +1,10 @@
-// Strict value parsing shared by every CLI entry point and the config
-// resolver. Historically each of bcsim_{cli,diff,model,chaos,bench}
-// carried its own copy of the numeric/enum parsing lambdas; they are
-// hoisted here so the usage-error contract (malformed value -> exit 2
-// with a message naming the flag) is enforced in exactly one place.
-//
-// Every parser throws UsageError instead of exiting: main() catches it,
-// prints the message, and exits 2 — which keeps the same observable
-// behavior the strict-exit-2 tests pin while making the helpers usable
-// from the config path too.
+// Strict value parsing for command-line flag values (conf/options.cpp)
+// and the machine enum names (conf/scenario.cpp). Every parser throws
+// UsageError instead of exiting: main() catches it, prints the message,
+// and exits 2 — the usage-error contract the strict-exit-2 tests pin.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -31,12 +24,6 @@ class UsageError : public std::runtime_error {
 /// trailing garbage ("4x"), and out-of-range values. `what` names the
 /// flag or key for the diagnostic.
 [[nodiscard]] std::uint64_t parse_u64(const std::string& what, const std::string& s);
-[[nodiscard]] std::uint32_t parse_u32(const std::string& what, const std::string& s);
-
-/// Splits a comma-separated list, invoking `each` per element (empty
-/// elements included, matching the historical per-tool lambdas).
-void split_list(const std::string& list,
-                const std::function<void(const std::string&)>& each);
 
 // Closed-name-set parsers for the machine enums. Unknown names throw
 // UsageError listing the alternatives.

@@ -56,13 +56,8 @@ ChaosOutcome run_chaos_cell(const ChaosCell& cell, Tick budget) {
   const DrfProgram prog = generate_drf_program(cell.program_seed, gen);
   const RefResult ref = RefMachine(prog, 0).run();
 
-  core::MachineConfig cfg = flavor_config(cell.flavor, cell.nodes, cell.schedule_seed);
-  cfg.network = cell.network;
-  cfg.net_buffer_depth = cell.buffer_depth;
-  cfg.dir_pointer_limit = cell.dir_limit;
-  cfg.dir_overflow = cell.dir_overflow;
-  cfg.dir_region_nodes = cell.dir_region;
-  core::apply_fault_plan(cfg, plan);
+  core::MachineConfig cfg =
+      cell_machine_config(cell.flavor, cell.nodes, cell.schedule_seed, cell.fabric, plan);
   cfg.watchdog_interval = cell.watchdog_interval;
   cfg.watchdog_stalls = cell.watchdog_stalls;
   cfg.trace_dump = cell.trace_dump;
@@ -117,7 +112,7 @@ std::optional<ChaosCorpusEntry> parse_chaos_corpus_line(const std::string& line)
   const auto verdict = parse_verdict(verdict_s);
   if (!verdict) throw std::invalid_argument("chaos corpus: bad verdict '" + verdict_s + "'");
   e.cell.flavor = *flavor;
-  e.cell.network = *network;
+  e.cell.fabric.network = *network;
   e.expected = *verdict;
   return e;
 }
@@ -125,7 +120,7 @@ std::optional<ChaosCorpusEntry> parse_chaos_corpus_line(const std::string& line)
 std::string format_chaos_corpus_line(const ChaosCorpusEntry& e) {
   std::ostringstream os;
   os << e.cell.plan << ' ' << e.cell.fault_seed << ' ' << to_string(e.cell.flavor) << ' '
-     << to_string(e.cell.network) << ' ' << e.cell.program_seed << ' '
+     << to_string(e.cell.fabric.network) << ' ' << e.cell.program_seed << ' '
      << e.cell.schedule_seed << ' ' << e.cell.nodes << ' ' << e.cell.phases << ' '
      << to_string(e.expected);
   return os.str();

@@ -42,7 +42,11 @@ struct ChaosCell {
   std::string plan = "drop";
   std::uint64_t fault_seed = 0;
   Flavor flavor = Flavor::kRu;
-  core::NetworkKind network = core::NetworkKind::kOmega;
+  /// Network plus the bounded-fabric and limited-directory knobs. Only the
+  /// network is part of the corpus line format (the parser rejects
+  /// trailing fields); tests and `bcsim chaos` set the rest
+  /// programmatically.
+  Fabric fabric;
   std::uint64_t program_seed = 0;
   std::uint64_t schedule_seed = 0;
   std::uint32_t nodes = 8;
@@ -50,13 +54,6 @@ struct ChaosCell {
   Tick watchdog_interval = 4096;
   std::uint32_t watchdog_stalls = 3;
   std::size_t trace_dump = 64;  ///< trace-tail size in watchdog reports
-  /// Bounded fabric + limited directory knobs. Not part of the corpus line
-  /// format (the parser rejects trailing fields); tests and `bcsim chaos`
-  /// set them programmatically.
-  std::uint32_t buffer_depth = 0;       ///< 0 = infinite per-port buffers
-  std::uint32_t dir_limit = 0;          ///< 0 = full-map directory
-  core::DirOverflow dir_overflow = core::DirOverflow::kBroadcast;
-  std::uint32_t dir_region = 4;
 };
 
 enum class ChaosVerdict : std::uint8_t { kTransparent, kDiagnosed, kWrong, kHung };

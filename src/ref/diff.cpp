@@ -52,6 +52,20 @@ core::MachineConfig flavor_config(Flavor f, std::uint32_t n_nodes,
   return cfg;
 }
 
+core::MachineConfig cell_machine_config(Flavor f, std::uint32_t n_nodes,
+                                        std::uint64_t schedule_seed, const Fabric& fabric,
+                                        const sim::FaultPlan& plan) {
+  core::MachineConfig cfg = flavor_config(f, n_nodes, schedule_seed);
+  cfg.network = fabric.network;
+  cfg.net_buffer_depth = fabric.buffer_depth;
+  cfg.dir_pointer_limit = fabric.dir_limit;
+  cfg.dir_overflow = fabric.dir_overflow;
+  cfg.dir_region_nodes = fabric.dir_region;
+  core::apply_fault_plan(cfg, plan);
+  if (plan.has_net_rules()) cfg.watchdog_interval = 4096;
+  return cfg;
+}
+
 namespace {
 
 void name_location(Divergence& d, const MachineRunResult& mach, std::uint32_t var,

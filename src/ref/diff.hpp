@@ -40,6 +40,27 @@ enum class Flavor : std::uint8_t {
 [[nodiscard]] core::MachineConfig flavor_config(Flavor f, std::uint32_t n_nodes,
                                                 std::uint64_t schedule_seed);
 
+/// The fabric and directory knobs an oracle cell (`bcsim diff`, `model`,
+/// `chaos`) sets on top of its flavor's machine.
+struct Fabric {
+  core::NetworkKind network = core::NetworkKind::kOmega;
+  /// Per-port buffer depth: 0 = the paper's infinite buffering, B > 0 =
+  /// bounded with credit-based flow control (net/network.hpp).
+  std::uint32_t buffer_depth = 0;
+  std::uint32_t dir_limit = 0;  ///< directory pointer budget; 0 = full map
+  core::DirOverflow dir_overflow = core::DirOverflow::kBroadcast;
+  std::uint32_t dir_region = 4;  ///< nodes per coarse-vector region
+  bool operator==(const Fabric&) const = default;
+};
+
+/// flavor_config() with `fabric` applied and `plan` armed. A plan with
+/// network faults also arms a 4096-tick watchdog, so a cell cannot hang
+/// silently.
+[[nodiscard]] core::MachineConfig cell_machine_config(Flavor f, std::uint32_t n_nodes,
+                                                      std::uint64_t schedule_seed,
+                                                      const Fabric& fabric,
+                                                      const sim::FaultPlan& plan);
+
 /// The first point where a machine execution departed from the reference.
 struct Divergence {
   enum class Kind : std::uint8_t {

@@ -257,10 +257,10 @@ TEST(BoundedFabric, ChaosCellOnBoundedMeshIsTransparentOrDiagnosed) {
   ref::ChaosCell cell;
   cell.plan = "drop";
   cell.flavor = ref::Flavor::kRu;
-  cell.network = core::NetworkKind::kMesh;
+  cell.fabric.network = core::NetworkKind::kMesh;
   cell.nodes = 8;
   cell.phases = 2;
-  cell.buffer_depth = kDepth;
+  cell.fabric.buffer_depth = kDepth;
   const ref::ChaosOutcome r = ref::run_chaos_cell(cell);
   EXPECT_TRUE(r.verdict == ref::ChaosVerdict::kTransparent ||
               r.verdict == ref::ChaosVerdict::kDiagnosed)

@@ -311,7 +311,7 @@ TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
   ref::ChaosCell cell;
   cell.plan = "eager-flush";
   cell.flavor = ref::Flavor::kRu;
-  cell.network = core::NetworkKind::kMesh;
+  cell.fabric.network = core::NetworkKind::kMesh;
   cell.nodes = 16;
   cell.phases = 3;
   bool caught = false;
@@ -334,7 +334,7 @@ TEST(ChaosCorpus, LineFormatRoundTrips) {
   e.cell.plan = "drop:p=0.1;seed=0";
   e.cell.fault_seed = 12;
   e.cell.flavor = ref::Flavor::kCbl;
-  e.cell.network = core::NetworkKind::kMesh;
+  e.cell.fabric.network = core::NetworkKind::kMesh;
   e.cell.program_seed = 34;
   e.cell.schedule_seed = 5;
   e.cell.nodes = 8;

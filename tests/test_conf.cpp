@@ -9,10 +9,13 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "conf/conf.hpp"
+#include "conf/options.hpp"
 #include "conf/scenario.hpp"
 
 namespace bcsim::conf {
@@ -369,6 +372,159 @@ TEST(ConfScenario, PercentKnobsAreWholePercentages) {
   const Table bad = parse_string("[workload]\nkind = work-queue\nread_pct = 120\n");
   expect_conf_error([&] { (void)resolve_scenario(bad); },
                     {"<string>:3", "out of range", "[0, 100]"});
+}
+
+
+// ---------------------------------------------------------------------------
+// Option tables: every CLI flag is an alias of one config key.
+// ---------------------------------------------------------------------------
+
+const char* const kCommands[] = {"run", "check", "trace", "bench", "diff", "model", "chaos"};
+
+/// Runs the section reader of `command` over `t` (each ends with
+/// expect_all_consumed).
+void read_section(std::string_view command, const Table& t) {
+  if (command == "bench") (void)read_bench(t);
+  else if (command == "diff") (void)read_diff(t);
+  else if (command == "model") (void)read_model(t);
+  else if (command == "chaos") (void)read_chaos(t);
+  else (void)read_run(t);
+}
+
+/// A value each string key's reader accepts; any other string key takes
+/// any text.
+std::string sample(std::string_view key) {
+  static const std::map<std::string, std::string, std::less<>> kNames = {
+      {"machine.flavor", "wbi"},          {"machine.consistency", "sc"},
+      {"machine.lock", "tts"},            {"machine.barrier", "tree"},
+      {"machine.network", "mesh"},        {"machine.dir_overflow", "coarse"},
+      {"machine.invariants", "full"},     {"workload.kind", "stencil"},
+      {"diff.flavors", "ru,cbl"},         {"diff.network", "mesh"},
+      {"diff.dir_overflow", "coarse"},    {"model.flavors", "wbi"},
+      {"model.networks", "crossbar"},     {"model.dir_overflow", "coarse"},
+      {"chaos.flavors", "cbl"},           {"chaos.networks", "ideal"},
+      {"chaos.dir_overflow", "coarse"},   {"machine.fault_plan", "drop"},
+      {"diff.inject_fault", "eager-flush"}, {"model.inject_fault", "empty-gate"},
+      {"chaos.plans", "drop,dup"},
+  };
+  const auto it = kNames.find(key);
+  return it == kNames.end() ? "./some/path" : it->second;
+}
+
+TEST(OptionTables, EveryFlagAliasesAKeyItsReaderConsumes) {
+  for (const char* command : kCommands) {
+    for (const Flag& f : option_table(command)) {
+      SCOPED_TRACE(std::string(command) + " " + std::string(f.name));
+      Value v;
+      switch (f.type) {
+        case FlagType::kInt: v.i = 1; break;
+        case FlagType::kString:
+          v.kind = Value::Kind::kString;
+          v.s = sample(f.key);
+          break;
+        case FlagType::kSwitch:
+          v.kind = Value::Kind::kBool;
+          v.b = true;
+          break;
+      }
+      Table t;
+      t.set(std::string(f.key), v);
+      EXPECT_NO_THROW(read_section(command, t));
+    }
+  }
+}
+
+TEST(OptionTables, NoFlagOrKeyAppearsTwice) {
+  for (const char* command : kCommands) {
+    std::set<std::string_view> flags;
+    std::set<std::string_view> keys;
+    for (const Flag& f : option_table(command)) {
+      EXPECT_TRUE(flags.insert(f.name).second) << command << " " << f.name;
+      EXPECT_TRUE(keys.insert(f.key).second) << command << " " << f.key;
+    }
+  }
+}
+
+TEST(OptionTables, StringFlagsAreTakenLiterally) {
+  // `-k bench.out=./x.json` is an expression (and a syntax error); the
+  // same text as a flag value is a path.
+  EXPECT_EQ(read_bench(parse_command_line("bench", {"--out", "./x.json"}).table).out,
+            "./x.json");
+  EXPECT_EQ(read_bench(parse_command_line("bench", {"--out", "/tmp/x.json"}).table).out,
+            "/tmp/x.json");
+  EXPECT_EQ(read_diff(parse_command_line("diff", {"--corpus", "1+2"}).table).corpus, "1+2");
+  const RunOptions r = read_run(
+      parse_command_line("run", {"--fault-plan", "drop:p=0.05;seed=3", "--csv", "./s.csv"})
+          .table);
+  EXPECT_EQ(r.scenario.machine.fault_plan, "drop:p=0.05;seed=3");
+  EXPECT_EQ(r.csv, "./s.csv");
+}
+
+TEST(OptionTables, AFlagOverridesTheConfigListInsteadOfExtendingIt) {
+  const std::string path =
+      write_file(::testing::TempDir(), "flag_list.conf", "[diff]\nflavors = \"ru\"\n");
+  const DiffOptions o =
+      read_diff(parse_command_line("diff", {"--config", path, "--flavors", "wbi"}).table);
+  EXPECT_EQ(o.flavors, std::vector<ref::Flavor>{ref::Flavor::kWbi});
+  const ModelOptions m =
+      read_model(parse_command_line("model", {"--tests", "sb", "--tests", "sb"}).table);
+  EXPECT_EQ(m.tests, std::vector<std::string>{"sb"});
+}
+
+TEST(OptionTables, OutOfRangeFlagIsASchemaErrorNamingTheFlag) {
+  expect_conf_error([] { (void)read_diff(parse_command_line("diff", {"--nodes", "0"}).table); },
+                    {"<flag --nodes>", "diff.nodes", "out of range"});
+  expect_conf_error(
+      [] { (void)read_run(parse_command_line("run", {"--nodes", "4", "--tasks", "0"}).table); },
+      {"<flag --tasks>", "workload.tasks", "out of range"});
+  EXPECT_THROW((void)parse_command_line("run", {"--seed", "9223372036854775808"}), UsageError);
+  EXPECT_THROW((void)parse_command_line("run", {"--nodes", "4x"}), UsageError);
+  EXPECT_THROW((void)parse_command_line("diff", {"--bogus"}), UsageError);
+  EXPECT_THROW((void)parse_command_line("run", {"--record"}), UsageError);
+  EXPECT_THROW((void)parse_command_line("run", {"-k", "machine.nodes=4"}), UsageError);
+  EXPECT_THROW((void)parse_command_line("run", {"--dump-config"}), UsageError);
+}
+
+TEST(OptionTables, FlagOnlyKeysCannotComeFromAFile) {
+  const std::string path =
+      write_file(::testing::TempDir(), "cli_key.conf", "[cli]\ncsv = \"x.csv\"\n");
+  expect_conf_error([&] { (void)parse_command_line("run", {"--config", path}); },
+                    {"cli_key.conf:2", "unknown key 'cli.csv'"});
+}
+
+TEST(OptionTables, TasksGrainItersFanOutPerWorkloadKind) {
+  const auto run = [](std::vector<std::string> args) {
+    return read_run(parse_command_line("run", args).table).scenario.workload;
+  };
+  // Flag-only runs start from --tasks 256 --grain 100 --iters 8, which a
+  // config run does not get (stencil sweeps 8 here, 6 from an empty config).
+  EXPECT_EQ(run({"--workload", "stencil"}).stencil.sweeps, 8u);
+  EXPECT_EQ(resolve_scenario(parse_string("")).workload.stencil.sweeps, 6u);
+  EXPECT_EQ(run({"--workload", "grid", "--iters", "3"}).grid.sweeps, 3u);
+  EXPECT_EQ(run({"--workload", "solver", "--iters", "0"}).solver.iterations, 0u);
+  const WorkloadSpec wq = run({"--tasks", "64", "--grain", "7"});
+  EXPECT_EQ(wq.work_queue.total_tasks, 64u);
+  EXPECT_EQ(wq.work_queue.grain, 7u);
+  const WorkloadSpec sm = run({"--workload", "sync-model", "--nodes", "4", "--tasks", "64"});
+  EXPECT_EQ(sm.sync_model.tasks_per_proc, 16u);
+  EXPECT_EQ(sm.sync_model.grain, 100u);
+  EXPECT_EQ(run({"--workload", "sync-model", "--nodes", "8", "--tasks", "0"})
+                .sync_model.tasks_per_proc,
+            1u);
+}
+
+TEST(OptionTables, ReplayPrintsTheCellAndEveryNonDefaultOption) {
+  const Table t = parse_command_line("model", {"--nodes", "16", "--buffer-depth", "2",
+                                               "--inject-fault", "eager-flush", "--seeds", "64"})
+                      .table;
+  EXPECT_EQ(Replay("model", t).line({{"model.tests", "sb"}, {"model.seeds", "1"}}),
+            "bcsim model --tests sb --seeds 1 --inject-fault eager-flush --buffer-depth 2");
+  const Table c = parse_command_line("chaos", {"--corpus", "c.txt", "--stalls", "5"}).table;
+  EXPECT_EQ(Replay("chaos", c).line({{"chaos.corpus", ""}}), "bcsim chaos --stalls 5");
+  const Table r =
+      parse_command_line("check", {"--nodes", "4", "--network", "mesh", "--seeds", "9"}).table;
+  EXPECT_EQ(Replay("check", r).line({{"cli.first_seed", "3"}}),
+            "bcsim check --nodes 4 --network mesh --first-seed 3");
 }
 
 }  // namespace

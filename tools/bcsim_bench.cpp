@@ -1,4 +1,4 @@
-#include "bcsim_bench.hpp"
+#include "bcsim_tools.hpp"
 
 #include <sys/resource.h>
 
@@ -222,7 +222,7 @@ double micro_omega_send(double min_ms, int reps) {
 
 // --- JSON ------------------------------------------------------------------
 
-void write_json(std::FILE* f, const BenchOptions& o, const std::vector<Metric>& metrics,
+void write_json(std::FILE* f, const conf::BenchOptions& o, const std::vector<Metric>& metrics,
                 const std::vector<std::pair<std::string, std::string>>& digests) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": 1,\n");
@@ -252,7 +252,7 @@ void write_json(std::FILE* f, const BenchOptions& o, const std::vector<Metric>& 
 
 }  // namespace
 
-int run_bench(const BenchOptions& o) {
+int run_bench(const conf::BenchOptions& o) {
   const double min_ms = o.smoke ? 40.0 : 200.0;
   const int reps = o.smoke ? 2 : 3;
   std::vector<Metric> metrics;

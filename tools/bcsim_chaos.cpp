@@ -1,17 +1,16 @@
-#include "bcsim_chaos.hpp"
+#include "bcsim_tools.hpp"
 
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <stdexcept>
 
-#include "sim/fault_plan.hpp"
+#include "ref/chaos.hpp"
 
 namespace bcsim::tool {
 
 namespace {
 
-void append_corpus(const ChaosOptions& o, const ref::ChaosCorpusEntry& e) {
+void append_corpus(const conf::ChaosOptions& o, const ref::ChaosCorpusEntry& e) {
   if (o.corpus.empty()) return;
   std::ofstream out(o.corpus, std::ios::app);
   if (!out) {
@@ -22,76 +21,35 @@ void append_corpus(const ChaosOptions& o, const ref::ChaosCorpusEntry& e) {
   std::printf("  recorded in corpus: %s\n", o.corpus.c_str());
 }
 
-void print_failure(const ref::ChaosCell& c, const ref::ChaosOutcome& r) {
+void print_failure(const ref::ChaosCell& c, const ref::ChaosOutcome& r,
+                   const conf::Replay& replay) {
+  const std::string network(core::to_string(c.fabric.network));
   std::printf("chaos: %s cell\n", ref::to_string(r.verdict));
   std::printf("  plan=%s fault-seed=%llu flavor=%s network=%s program=%llu nodes=%u phases=%u\n",
               c.plan.c_str(), static_cast<unsigned long long>(c.fault_seed),
-              ref::to_string(c.flavor), core::to_string(c.network).data(),
+              ref::to_string(c.flavor), network.c_str(),
               static_cast<unsigned long long>(c.program_seed), c.nodes, c.phases);
   std::printf("  %s\n", r.detail.c_str());
-  std::printf(
-      "  replay: bcsim chaos --plans %s --flavors %s --networks %s "
-      "--seeds 1 --first-seed %llu --programs 1 --first-program %llu "
-      "--nodes %u --phases %u\n",
-      c.plan.c_str(), ref::to_string(c.flavor), core::to_string(c.network).data(),
-      static_cast<unsigned long long>(c.fault_seed),
-      static_cast<unsigned long long>(c.program_seed), c.nodes, c.phases);
+  std::printf("  replay: %s\n",
+              replay
+                  .line({{"chaos.plans", c.plan},
+                         {"chaos.flavors", ref::to_string(c.flavor)},
+                         {"chaos.networks", network},
+                         {"chaos.seeds", "1"},
+                         {"chaos.first_seed", std::to_string(c.fault_seed)},
+                         {"chaos.programs", "1"},
+                         {"chaos.first_program", std::to_string(c.program_seed)},
+                         {"chaos.corpus", ""}})
+                  .c_str());
 }
 
 }  // namespace
 
-int run_chaos(const ChaosOptions& o) {
-  if (o.seeds == 0 || o.programs == 0) {
-    std::fprintf(stderr, "bcsim chaos: --seeds and --programs must be >= 1\n");
-    return 2;
-  }
-  // The default battery: one plan per fault class, plus a retries-off plan
-  // whose cells must come back *diagnosed* (a lost message with no
-  // retransmission is a real protocol break — the watchdog has to name it).
-  std::vector<std::string> plans = o.plans;
-  if (plans.empty()) {
-    plans = {"drop", "dup", "delay", "corrupt", "stall", "drop-noretry"};
-  }
-  // Resolve every plan up front so a typo is a usage error, not a failure
-  // half-way through the sweep.
-  for (const std::string& p : plans) {
-    try {
-      (void)sim::resolve_fault_plan(p);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "bcsim chaos: %s\n", e.what());
-      return 2;
-    }
-  }
-  std::vector<ref::Flavor> flavors = o.flavors;
-  if (flavors.empty()) {
-    flavors = {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl};
-  }
-  // Default to omega + mesh: uniform-cost vs distance-dependent paths
-  // stress different reorder windows (docs/TESTING.md).
-  std::vector<std::string> network_names = o.networks;
-  if (network_names.empty()) network_names = {"omega", "mesh"};
-  std::vector<core::NetworkKind> networks;
-  for (const std::string& n : network_names) {
-    if (n == "omega") networks.push_back(core::NetworkKind::kOmega);
-    else if (n == "crossbar") networks.push_back(core::NetworkKind::kCrossbar);
-    else if (n == "mesh") networks.push_back(core::NetworkKind::kMesh);
-    else if (n == "ideal") networks.push_back(core::NetworkKind::kIdeal);
-    else {
-      std::fprintf(stderr,
-                   "bcsim chaos: unknown network '%s' (omega, crossbar, mesh, ideal)\n",
-                   n.c_str());
-      return 2;
-    }
-  }
-
-  std::string plan_list;
-  for (const std::string& p : plans) {
-    if (!plan_list.empty()) plan_list += ",";
-    plan_list += p;
-  }
+int run_chaos(const conf::ChaosOptions& o, const conf::Replay& replay) {
+  const std::string plan_list = join(o.plans, [](const std::string& p) { return p; });
   std::printf("chaos: {%s} x %zu flavors x %zu networks x %llu seeds x %llu programs, "
               "nodes=%u, phases=%u, watchdog=%llu\n",
-              plan_list.c_str(), flavors.size(), networks.size(),
+              plan_list.c_str(), o.flavors.size(), o.networks.size(),
               static_cast<unsigned long long>(o.seeds),
               static_cast<unsigned long long>(o.programs), o.nodes, o.phases,
               static_cast<unsigned long long>(o.watchdog_interval));
@@ -99,10 +57,10 @@ int run_chaos(const ChaosOptions& o) {
   std::uint64_t cells = 0;
   std::uint64_t bad = 0;
   std::map<ref::ChaosVerdict, std::uint64_t> counts;
-  for (const std::string& plan : plans) {
+  for (const std::string& plan : o.plans) {
     std::map<ref::ChaosVerdict, std::uint64_t> plan_counts;
-    for (const core::NetworkKind network : networks) {
-      for (const ref::Flavor flavor : flavors) {
+    for (const core::NetworkKind network : o.networks) {
+      for (const ref::Flavor flavor : o.flavors) {
         for (std::uint64_t fs = o.first_seed; fs < o.first_seed + o.seeds; ++fs) {
           for (std::uint64_t ps = o.first_program; ps < o.first_program + o.programs;
                ++ps) {
@@ -110,7 +68,8 @@ int run_chaos(const ChaosOptions& o) {
             cell.plan = plan;
             cell.fault_seed = fs;
             cell.flavor = flavor;
-            cell.network = network;
+            cell.fabric = o.fabric;
+            cell.fabric.network = network;
             cell.program_seed = ps;
             // The fault seed doubles as the schedule seed: each lottery
             // pattern also runs under a distinct event interleaving.
@@ -120,10 +79,6 @@ int run_chaos(const ChaosOptions& o) {
             cell.watchdog_interval = o.watchdog_interval;
             cell.watchdog_stalls = o.watchdog_stalls;
             cell.trace_dump = o.trace_dump;
-            cell.buffer_depth = o.buffer_depth;
-            cell.dir_limit = o.dir_limit;
-            cell.dir_overflow = o.dir_overflow;
-            cell.dir_region = o.dir_region;
             const ref::ChaosOutcome r = ref::run_chaos_cell(cell, o.budget);
             ++cells;
             ++plan_counts[r.verdict];
@@ -131,7 +86,7 @@ int run_chaos(const ChaosOptions& o) {
             if (r.verdict == ref::ChaosVerdict::kWrong ||
                 r.verdict == ref::ChaosVerdict::kHung) {
               ++bad;
-              print_failure(cell, r);
+              print_failure(cell, r, replay);
               append_corpus(o, {cell, r.verdict});
             }
           }

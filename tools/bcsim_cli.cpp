@@ -2,8 +2,10 @@
 //
 // One binary to configure the machine, pick a workload, run it, and dump
 // results (human-readable report and/or CSV for plotting). Runs are
-// described either by flags or by a declarative config file — both funnel
-// through the same construction path (src/conf/scenario.hpp), so a
+// described by a declarative config file, by flags, or both: every flag is
+// an alias of one config key (the option tables in src/conf/options.cpp),
+// applied after the file and its `-k` overrides, so a later spelling wins
+// and a flag and its key are range-checked by the same reader. A
 // config-built run is bit-identical to its flag-built equivalent:
 //
 //   bcsim --nodes 32 --machine paper --workload work-queue --tasks 256
@@ -13,13 +15,16 @@
 //
 // Config files (docs/CONFIGS.md): INI sections, `include "file"` layering,
 // integer/boolean expressions with $(key) references, `-k key=value`
-// overrides applied last, strict unknown-key/type/range errors naming
-// file:line. `--dump-config` prints the resolved table and exits.
+// overrides, strict unknown-key/type/range errors naming file:line (or
+// `<flag NAME>` for a flag). `--dump-config` prints the file's resolved
+// table and exits. A malformed flag or value exits 2 before any output.
 //
-// Flags (defaults in brackets; every flag overrides the config file):
+// Flags of `bcsim [run]`, `check` and `trace` (defaults in brackets; the
+// key each flag aliases is tabled in docs/CONFIGS.md, "Flags are config
+// keys"):
 //   --config PATH        load a [machine]/[workload] config file
-//   -k key=value         override one config key (repeatable)
-//   --dump-config        print the resolved config table and exit
+//   -k key=value         override one config key (repeatable; needs --config)
+//   --dump-config        print the config file's resolved table and exit
 //   --nodes N            processors [16]
 //   --machine M          paper | wbi | cbl-on-wbi [paper]
 //   --consistency C      sc | bc (paper machine only) [bc]
@@ -37,9 +42,12 @@
 //   --block-words W      cache line size in words [4]
 //   --workload W         work-queue | sync-model | solver | stencil | grid
 //                        | fft | trace [work-queue]
-//   --tasks N            work-queue task budget [256]
-//   --grain G            references per task [100]
-//   --iters K            solver iterations / stencil sweeps [8]
+//   --tasks N            work-queue tasks; sync-model tasks per processor
+//                        = max(1, N / nodes) [256 without --config]
+//   --grain G            work-queue / sync-model references per task
+//                        [100 without --config]
+//   --iters K            solver iterations, stencil/grid sweeps [8 without
+//                        --config]
 //   --seed S             RNG seed [1]
 //   --schedule-seed S    same-tick event tie-break (0 = FIFO order) [0]
 //   --check-invariants L off | quiesce | full (docs/TESTING.md) [off]
@@ -54,8 +62,11 @@
 //   --csv PATH           write all statistics as CSV
 //   --report             print the full statistics report
 //
-// Subcommands:
-//   bcsim check [--seeds N] [--first-seed S] [--nodes N]
+// Subcommands (a harness flag aliases the key of the same name in the
+// subcommand's section: `bcsim diff --first-program` is
+// `diff.first_program`):
+//
+//   bcsim check [run flags] [--seeds N] [--first-seed S]
 //
 // Sweeps N schedule seeds (starting at S) across a battery of litmus/fuzz
 // programs on both machines with full invariant checking and per-seed
@@ -83,11 +94,11 @@
 // end-to-end run per machine flavor, written as BENCH_<rev>.json for
 // scripts/bench_compare.py. See docs/BENCHMARKS.md.
 //
-//   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--schedules M]
-//              [--first-program S] [--first-schedule S] [--nodes N]
-//              [--phases P] [--corpus PATH] [--inject-fault F]
+//   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--first-program S]
+//              [--schedules M] [--first-schedule S] [--nodes N]
+//              [--phases P] [--network NET] [--inject-fault F]
 //              [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
-//              [--dir-region R] [--budget T] [--config PATH]
+//              [--dir-region R] [--budget T] [--corpus PATH] [--config PATH]
 //
 // The differential oracle: sweeps randomized data-race-free programs over
 // a (program_seed x schedule_seed) grid, comparing each machine flavor
@@ -102,7 +113,7 @@
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--nodes N] [--inject-fault F] [--buffer-depth B]
 //               [--dir-limit K] [--dir-overflow O] [--dir-region R]
-//               [--print-allowed] [--require-complete] [--budget T]
+//               [--budget T] [--print-allowed] [--require-complete]
 //               [--config PATH]
 //
 // The model-conformance harness: enumerates each litmus test's
@@ -117,7 +128,7 @@
 //               [--programs N] [--first-program S] [--nodes N]
 //               [--phases P] [--watchdog T] [--stalls K] [--trace-dump N]
 //               [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
-//               [--dir-region R] [--corpus PATH] [--budget T]
+//               [--dir-region R] [--budget T] [--corpus PATH]
 //               [--config PATH]
 //
 // The unreliable-fabric sweep: every (fault plan x flavor x network x
@@ -129,26 +140,20 @@
 // appended to --corpus. Exit 1 on any wrong/hung cell. See
 // docs/TESTING.md, "Chaos testing & liveness".
 //
-// The tool subcommands read their knobs from [bench]/[diff]/[model]/
-// [chaos] sections; a single preset file can carry a [machine]/[workload]
-// description *and* a tool section (each consumer ignores the others').
-#include <algorithm>
+// Every sweep prints its replay line from the same option table: the
+// failing cell plus every option whose value differs from its default. A
+// single preset file can carry a [machine]/[workload] description *and*
+// tool sections (each consumer ignores the others').
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "bcsim_bench.hpp"
-#include "bcsim_chaos.hpp"
-#include "bcsim_diff.hpp"
-#include "bcsim_model.hpp"
+#include "bcsim_tools.hpp"
 #include "conf/conf.hpp"
+#include "conf/options.hpp"
 #include "conf/scenario.hpp"
 #include "conf/strict_parse.hpp"
 #include "core/machine.hpp"
@@ -157,392 +162,6 @@
 using namespace bcsim;
 
 namespace {
-
-constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
-
-/// Flag-level usage error: main() catches UsageError, prints, and exits 2
-/// (the strict-exit-2 contract the test suite pins).
-[[noreturn]] void usage_error(const std::string& msg) { throw conf::UsageError(msg); }
-
-struct Options {
-  conf::MachineSpec machine;
-  /// Workload selection in flag vocabulary; workload_spec() resolves it
-  /// (merged over the config file's [workload], when one was given).
-  std::string workload = "work-queue";
-  std::uint32_t tasks = 256;
-  std::uint32_t grain = 100;
-  std::uint32_t iters = 8;
-  bool workload_set = false, tasks_set = false, grain_set = false, iters_set = false;
-  conf::WorkloadSpec config_workload;  ///< from --config; defaults otherwise
-  bool from_config = false;
-  std::string csv;
-  bool report = false;
-  // `check` subcommand
-  bool check = false;
-  std::uint64_t seeds = 64;
-  std::uint64_t first_seed = 0;
-  // `trace` subcommand
-  bool trace = false;
-  bool record = false;  ///< --record: primitive (replayable) trace capture
-  std::string trace_out;
-  bool trace_out_set = false;
-  std::string trace_csv;
-};
-
-/// Scans argv for --config / -k / --dump-config, parses the file (with
-/// overrides applied), and returns the resolved table — or nullopt when no
-/// --config was given. --dump-config prints the table and exits 0 here,
-/// before any schema consumption (the dump is the parser's view).
-std::optional<conf::Table> load_config(int first, int argc, char** argv) {
-  std::string path;
-  std::vector<conf::Override> overrides;
-  bool dump = false;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config") {
-      if (i + 1 >= argc) usage_error("missing value for --config");
-      path = argv[++i];
-    } else if (a == "-k") {
-      if (i + 1 >= argc) usage_error("missing value for -k");
-      try {
-        overrides.push_back(conf::parse_override(argv[++i]));
-      } catch (const std::invalid_argument& e) {
-        usage_error(e.what());
-      }
-    } else if (a == "--dump-config") {
-      dump = true;
-    }
-  }
-  if (path.empty()) {
-    if (dump) usage_error("--dump-config requires --config");
-    if (!overrides.empty()) usage_error("-k overrides require --config");
-    return std::nullopt;
-  }
-  conf::Table t = conf::parse_file(path, overrides);
-  if (dump) {
-    t.dump(std::cout);
-    std::exit(0);
-  }
-  return t;
-}
-
-/// Splits a comma-separated flavor list, translating names via
-/// ref::parse_flavor; unknown names are usage errors.
-void parse_flavor_list(const std::string& list, std::vector<ref::Flavor>& out) {
-  conf::split_list(list, [&](const std::string& name) {
-    const auto f = ref::parse_flavor(name);
-    if (!f) usage_error("unknown flavor '" + name + "' (wbi, ru, cbl)");
-    out.push_back(*f);
-  });
-}
-
-Options parse_args(int argc, char** argv) {
-  Options o;
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  int first = 1;
-  if (argc > 1 && std::strcmp(argv[1], "check") == 0) {
-    o.check = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "trace") == 0) {
-    o.trace = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
-    first = 2;  // `run` is the (optional) name of the default mode
-  }
-  if (const auto t = load_config(first, argc, argv)) {
-    const conf::Scenario sc = conf::resolve_scenario(*t);
-    t->expect_all_consumed({"bench", "diff", "model", "chaos"});
-    o.machine = sc.machine;
-    o.config_workload = sc.workload;
-    o.workload = sc.workload.kind;
-    o.from_config = true;
-  }
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;  // handled by load_config
-    else if (a == "--dump-config") {}       // handled by load_config
-    else if (a == "--nodes") o.machine.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--machine") o.machine.flavor = need(i);
-    else if (a == "--consistency") o.machine.consistency = need(i);
-    else if (a == "--lock") o.machine.lock = need(i);
-    else if (a == "--barrier") o.machine.barrier = need(i);
-    else if (a == "--network") o.machine.network = need(i);
-    else if (a == "--buffer-depth") o.machine.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.machine.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.machine.dir_overflow = need(i);
-    else if (a == "--dir-region") o.machine.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--block-words") o.machine.block_words = conf::parse_u32(a, need(i));
-    else if (a == "--workload") { o.workload = need(i); o.workload_set = true; }
-    else if (a == "--tasks") { o.tasks = conf::parse_u32(a, need(i)); o.tasks_set = true; }
-    else if (a == "--grain") { o.grain = conf::parse_u32(a, need(i)); o.grain_set = true; }
-    else if (a == "--iters") { o.iters = conf::parse_u32(a, need(i)); o.iters_set = true; }
-    else if (a == "--seed") o.machine.seed = conf::parse_u64(a, need(i));
-    else if (a == "--schedule-seed") o.machine.schedule_seed = conf::parse_u64(a, need(i));
-    else if (a == "--check-invariants") o.machine.invariants = need(i);
-    else if (a == "--fault-plan") o.machine.fault_plan = need(i);
-    else if (a == "--watchdog") o.machine.watchdog = conf::parse_u64(a, need(i));
-    else if (a == "--trace-dump") o.machine.trace_dump = conf::parse_u64(a, need(i));
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
-    else if (a == "--csv") o.csv = need(i);
-    else if (a == "--report") o.report = true;
-    else if (a == "--record") {
-      if (!o.trace) usage_error("--record is a `bcsim trace` flag");
-      o.record = true;
-    }
-    else if (a == "--trace-out") { o.trace_out = need(i); o.trace_out_set = true; }
-    else if (a == "--trace-csv") o.trace_csv = need(i);
-    else if (a == "--trace-capacity") o.machine.trace_capacity = conf::parse_u64(a, need(i));
-    else usage_error("unknown flag '" + a + "'");
-  }
-  // The event-trace recorder serves the Chrome-JSON mode; primitive
-  // recording (--record) must leave the machine identical to a plain run
-  // so the captured digest matches a replay's.
-  o.machine.trace = o.trace && !o.record;
-  if (!o.trace_out_set) o.trace_out = o.record ? "trace.tr" : "trace.json";
-  return o;
-}
-
-tool::BenchOptions parse_bench_args(int argc, char** argv) {
-  tool::BenchOptions o;
-  if (const char* rev = std::getenv("BCSIM_REV")) o.revision = rev;
-  if (const auto t = load_config(2, argc, argv)) {
-    o.smoke = t->get_bool("bench.smoke", o.smoke);
-    o.out = t->get_string("bench.out", o.out);
-    o.revision = t->get_string("bench.rev", o.revision);
-    t->expect_all_consumed({"machine", "workload", "diff", "model", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--smoke") o.smoke = true;
-    else if (a == "--out") o.out = need(i);
-    else if (a == "--rev") o.revision = need(i);
-    else usage_error("unknown bench flag '" + a + "'");
-  }
-  return o;
-}
-
-tool::DiffOptions parse_diff_args(int argc, char** argv) {
-  tool::DiffOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("diff.flavors")) parse_flavor_list(t->get_string("diff.flavors", ""), o.flavors);
-    o.programs = t->get_u64("diff.programs", o.programs);
-    o.schedules = t->get_u64("diff.schedules", o.schedules);
-    o.first_program = t->get_u64("diff.first_program", o.first_program);
-    o.first_schedule = t->get_u64("diff.first_schedule", o.first_schedule);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("diff.nodes", o.nodes, 1, kU32Max));
-    o.phases = static_cast<std::uint32_t>(t->get_int("diff.phases", o.phases, 0, kU32Max));
-    o.network = t->get_string("diff.network", o.network);
-    o.corpus = t->get_string("diff.corpus", o.corpus);
-    o.inject_fault = t->get_string("diff.inject_fault", o.inject_fault);
-    o.buffer_depth =
-        static_cast<std::uint32_t>(t->get_int("diff.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("diff.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("diff.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("diff.dir_overflow", "broadcast", {"broadcast", "coarse"}));
-    }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("diff.dir_region", o.dir_region, 1, kU32Max));
-    o.budget = t->get_u64("diff.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "model", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--programs") o.programs = conf::parse_u64(a, need(i));
-    else if (a == "--schedules") o.schedules = conf::parse_u64(a, need(i));
-    else if (a == "--first-program") o.first_program = conf::parse_u64(a, need(i));
-    else if (a == "--first-schedule") o.first_schedule = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--phases") o.phases = conf::parse_u32(a, need(i));
-    else if (a == "--network") o.network = need(i);
-    else if (a == "--corpus") o.corpus = need(i);
-    else if (a == "--inject-fault") o.inject_fault = need(i);
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown diff flag '" + a + "'");
-  }
-  return o;
-}
-
-tool::ModelOptions parse_model_args(int argc, char** argv) {
-  tool::ModelOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("model.tests")) {
-      conf::split_list(t->get_string("model.tests", ""),
-                       [&](const std::string& name) { o.tests.push_back(name); });
-    }
-    if (t->has("model.flavors")) parse_flavor_list(t->get_string("model.flavors", ""), o.flavors);
-    if (t->has("model.networks")) {
-      conf::split_list(t->get_string("model.networks", ""),
-                       [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    o.seeds = t->get_u64("model.seeds", o.seeds);
-    o.first_seed = t->get_u64("model.first_seed", o.first_seed);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("model.nodes", o.nodes, 1, kU32Max));
-    o.inject_fault = t->get_string("model.inject_fault", o.inject_fault);
-    o.buffer_depth = static_cast<std::uint32_t>(
-        t->get_int("model.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("model.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("model.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("model.dir_overflow", "broadcast", {"broadcast", "coarse"}));
-    }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("model.dir_region", o.dir_region, 1, kU32Max));
-    o.print_allowed = t->get_bool("model.print_allowed", o.print_allowed);
-    o.require_complete = t->get_bool("model.require_complete", o.require_complete);
-    o.budget = t->get_u64("model.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "diff", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--tests") {
-      conf::split_list(need(i), [&](const std::string& name) { o.tests.push_back(name); });
-    }
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--networks") {
-      conf::split_list(need(i), [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--inject-fault") o.inject_fault = need(i);
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--print-allowed") o.print_allowed = true;
-    else if (a == "--require-complete") o.require_complete = true;
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown model flag '" + a + "'");
-  }
-  return o;
-}
-
-tool::ChaosOptions parse_chaos_args(int argc, char** argv) {
-  tool::ChaosOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("chaos.plans")) {
-      conf::split_list(t->get_string("chaos.plans", ""),
-                       [&](const std::string& name) { o.plans.push_back(name); });
-    }
-    if (t->has("chaos.flavors")) parse_flavor_list(t->get_string("chaos.flavors", ""), o.flavors);
-    if (t->has("chaos.networks")) {
-      conf::split_list(t->get_string("chaos.networks", ""),
-                       [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    o.seeds = t->get_u64("chaos.seeds", o.seeds);
-    o.first_seed = t->get_u64("chaos.first_seed", o.first_seed);
-    o.programs = t->get_u64("chaos.programs", o.programs);
-    o.first_program = t->get_u64("chaos.first_program", o.first_program);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("chaos.nodes", o.nodes, 1, kU32Max));
-    o.phases = static_cast<std::uint32_t>(t->get_int("chaos.phases", o.phases, 0, kU32Max));
-    o.watchdog_interval = t->get_u64("chaos.watchdog", o.watchdog_interval);
-    o.watchdog_stalls = static_cast<std::uint32_t>(
-        t->get_int("chaos.stalls", o.watchdog_stalls, 1, kU32Max));
-    o.trace_dump =
-        static_cast<std::size_t>(t->get_u64("chaos.trace_dump", o.trace_dump));
-    o.buffer_depth = static_cast<std::uint32_t>(
-        t->get_int("chaos.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("chaos.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("chaos.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("chaos.dir_overflow", "broadcast", {"broadcast", "coarse"}));
-    }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("chaos.dir_region", o.dir_region, 1, kU32Max));
-    o.corpus = t->get_string("chaos.corpus", o.corpus);
-    o.budget = t->get_u64("chaos.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "diff", "model"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--plans") {
-      conf::split_list(need(i), [&](const std::string& name) { o.plans.push_back(name); });
-    }
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--networks") {
-      conf::split_list(need(i), [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
-    else if (a == "--programs") o.programs = conf::parse_u64(a, need(i));
-    else if (a == "--first-program") o.first_program = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--phases") o.phases = conf::parse_u32(a, need(i));
-    else if (a == "--watchdog") o.watchdog_interval = conf::parse_u64(a, need(i));
-    else if (a == "--stalls") o.watchdog_stalls = conf::parse_u32(a, need(i));
-    else if (a == "--trace-dump") o.trace_dump = conf::parse_u64(a, need(i));
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--corpus") o.corpus = need(i);
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown chaos flag '" + a + "'");
-  }
-  return o;
-}
-
-/// Resolves the run's WorkloadSpec: the config file's [workload] (or the
-/// defaults) overlaid with the legacy flag knobs. Flag-only runs apply
-/// --tasks/--grain/--iters unconditionally (the historical mapping, which
-/// e.g. set stencil sweeps to --iters' default 8); with a config file only
-/// explicitly-passed flags override the resolved values.
-conf::WorkloadSpec workload_spec(const Options& o) {
-  conf::WorkloadSpec wl = o.config_workload;
-  wl.kind = o.workload;
-  const bool all = !o.from_config;
-  if (all || o.tasks_set) {
-    wl.work_queue.total_tasks = o.tasks;
-    wl.sync_model.tasks_per_proc = std::max(1u, o.tasks / std::max(1u, o.machine.nodes));
-  }
-  if (all || o.grain_set) {
-    wl.work_queue.grain = o.grain;
-    wl.sync_model.grain = o.grain;
-  }
-  if (all || o.iters_set) {
-    wl.solver.iterations = o.iters;
-    wl.stencil.sweeps = o.iters;
-    wl.grid.sweeps = o.iters;
-  }
-  return wl;
-}
 
 // ---------------------------------------------------------------------------
 // `check` subcommand: schedule-seed sweep with full invariant checking.
@@ -844,7 +463,7 @@ CaseResult case_fuzz(const core::MachineConfig& cfg) {
   return r;
 }
 
-int run_check(const Options& o) {
+int run_check(const conf::RunOptions& o, const conf::Replay& replay) {
   using CaseFn = CaseResult (*)(const core::MachineConfig&);
   struct Entry {
     const char* machine;
@@ -867,16 +486,17 @@ int run_check(const Options& o) {
       {"cbl-on-wbi", "fuzz", case_fuzz},
   };
   const auto config_for = [&](const char* machine, std::uint64_t schedule_seed) {
-    conf::MachineSpec spec = o.machine;
+    conf::MachineSpec spec = o.scenario.machine;
     spec.flavor = machine;
     spec.invariants = "full";
     spec.schedule_seed = schedule_seed;
     return conf::build_machine(spec);
   };
-  if (o.seeds == 0) usage_error("check needs --seeds >= 1");
+  // A usage error (exit 2), as for every malformed flag.
+  if (o.seeds == 0) throw conf::UsageError("check needs --seeds >= 1");
   std::printf("check: %llu schedule seeds x %zu programs, nodes=%u, invariants=full\n",
               static_cast<unsigned long long>(o.seeds), std::size(battery),
-              o.machine.nodes);
+              o.scenario.machine.nodes);
   for (std::uint64_t s = o.first_seed; s < o.first_seed + o.seeds; ++s) {
     for (const Entry& e : battery) {
       const auto cfg = config_for(e.machine, s);
@@ -901,8 +521,9 @@ int run_check(const Options& o) {
                     static_cast<unsigned long long>(s));
         std::printf("  machine=%s program=%s\n  %s\n", e.machine, e.program,
                     r1.detail.c_str());
-        std::printf("  replay: bcsim check --nodes %u --first-seed %llu --seeds 1\n",
-                    o.machine.nodes, static_cast<unsigned long long>(s));
+        std::printf("  replay: %s\n",
+                    replay.line({{"cli.seeds", "1"}, {"cli.first_seed", std::to_string(s)}})
+                        .c_str());
         // Replay the failing case with the event-trace recorder on: when
         // the failure is an invariant violation, the machine prints the
         // tail of the interleaving that led there next to the diagnostic
@@ -911,7 +532,7 @@ int run_check(const Options& o) {
         std::fflush(stdout);
         auto traced = cfg;
         traced.trace = true;
-        traced.trace_capacity = o.machine.trace_capacity;
+        traced.trace_capacity = o.scenario.machine.trace_capacity;
         try {
           (void)e.fn(traced);
         } catch (const std::exception&) {
@@ -931,9 +552,10 @@ int run_check(const Options& o) {
 /// attached and write a replayable trace file. The machine is configured
 /// exactly like a plain run (no event-trace recorder), so the digest
 /// printed here is what a replay must reproduce.
-int run_record(const Options& o) {
-  core::Machine m(conf::build_machine(o.machine));
-  conf::WorkloadInstance w(m, workload_spec(o));
+int run_record(const conf::RunOptions& o) {
+  const conf::MachineSpec& spec = o.scenario.machine;
+  core::Machine m(conf::build_machine(spec));
+  conf::WorkloadInstance w(m, o.scenario.workload);
   workload::TraceRecorder rec(m);
   const Tick t = m.run();
   rec.detach();
@@ -943,9 +565,8 @@ int run_record(const Options& o) {
     return 1;
   }
   rec.trace().write(out);
-  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", o.machine.flavor.c_str(),
-              w.kind().c_str(), o.machine.nodes,
-              static_cast<unsigned long long>(o.machine.seed));
+  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", spec.flavor.c_str(),
+              w.kind().c_str(), spec.nodes, static_cast<unsigned long long>(spec.seed));
   std::printf("completion: %llu cycles\n", static_cast<unsigned long long>(t));
   std::printf("digest:     %016llx\n",
               static_cast<unsigned long long>(m.stats_digest()));
@@ -953,18 +574,18 @@ int run_record(const Options& o) {
               o.trace_out.c_str());
   std::printf("replay:     bcsim --nodes %u --workload trace ... (config: source = "
               "trace:%s)\n",
-              o.machine.nodes, o.trace_out.c_str());
+              spec.nodes, o.trace_out.c_str());
   return 0;
 }
 
-int run(const Options& o) {
-  core::Machine m(conf::build_machine(o.machine));
-  conf::WorkloadInstance w(m, workload_spec(o));
+int run(const conf::RunOptions& o) {
+  const conf::MachineSpec& spec = o.scenario.machine;
+  core::Machine m(conf::build_machine(spec));
+  conf::WorkloadInstance w(m, o.scenario.workload);
 
   const Tick t = m.run();
-  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", o.machine.flavor.c_str(),
-              w.kind().c_str(), o.machine.nodes,
-              static_cast<unsigned long long>(o.machine.seed));
+  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", spec.flavor.c_str(),
+              w.kind().c_str(), spec.nodes, static_cast<unsigned long long>(spec.seed));
   std::printf("completion: %llu cycles\n", static_cast<unsigned long long>(t));
   std::printf("network:    %llu messages, %llu contention cycles\n",
               static_cast<unsigned long long>(m.stats().counter_value("net.messages")),
@@ -992,7 +613,7 @@ int run(const Options& o) {
     std::printf("fft:        bit-exact vs host: %s\n",
                 fft->actual(m) == fft->expected() ? "yes" : "NO");
   }
-  if (o.trace) {
+  if (spec.trace) {
     const auto& tr = m.simulator().trace();
     std::ofstream out(o.trace_out);
     if (!out) {
@@ -1032,21 +653,36 @@ int run(const Options& o) {
 
 int main(int argc, char** argv) {
   try {
-    if (argc > 1 && std::strcmp(argv[1], "bench") == 0) {
-      return tool::run_bench(parse_bench_args(argc, argv));
+    // `bcsim [flags]` is `bcsim run [flags]`.
+    std::string command = "run";
+    int first = 1;
+    for (const char* sub : {"run", "check", "trace", "bench", "diff", "model", "chaos"}) {
+      if (argc > 1 && std::strcmp(argv[1], sub) == 0) {
+        command = sub;
+        first = 2;
+      }
     }
-    if (argc > 1 && std::strcmp(argv[1], "diff") == 0) {
-      return tool::run_diff(parse_diff_args(argc, argv));
+    const conf::CommandLine cl =
+        conf::parse_command_line(command, std::vector<std::string>(argv + first, argv + argc));
+    if (cl.dump) {
+      cl.table.dump(std::cout);
+      return 0;
     }
-    if (argc > 1 && std::strcmp(argv[1], "model") == 0) {
-      return tool::run_model(parse_model_args(argc, argv));
+    const conf::Replay replay(command, cl.table);
+    if (command == "bench") return tool::run_bench(conf::read_bench(cl.table));
+    if (command == "diff") return tool::run_diff(conf::read_diff(cl.table), replay);
+    if (command == "model") return tool::run_model(conf::read_model(cl.table), replay);
+    if (command == "chaos") return tool::run_chaos(conf::read_chaos(cl.table), replay);
+    conf::RunOptions o = conf::read_run(cl.table);
+    if (command == "check") return run_check(o, replay);
+    if (command == "trace") {
+      // The event-trace recorder serves the Chrome-JSON mode; primitive
+      // recording (--record) must leave the machine identical to a plain
+      // run so the captured digest matches a replay's.
+      o.scenario.machine.trace = !o.record;
+      if (o.trace_out.empty()) o.trace_out = o.record ? "trace.tr" : "trace.json";
+      if (o.record) return run_record(o);
     }
-    if (argc > 1 && std::strcmp(argv[1], "chaos") == 0) {
-      return tool::run_chaos(parse_chaos_args(argc, argv));
-    }
-    const Options o = parse_args(argc, argv);
-    if (o.check) return run_check(o);
-    if (o.record) return run_record(o);
     return run(o);
   } catch (const conf::UsageError& e) {
     std::fprintf(stderr, "bcsim: %s\n(see the header of tools/bcsim_cli.cpp for flags)\n",

@@ -1,9 +1,8 @@
-#include "bcsim_diff.hpp"
+#include "bcsim_tools.hpp"
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
 
 #include "ref/ref_machine.hpp"
 #include "sim/fault_plan.hpp"
@@ -15,7 +14,7 @@ namespace {
 /// Appends one replay line to the regression corpus. Format (one case per
 /// line, '#' comments): `<flavor> <program_seed> <schedule_seed> <nodes>
 /// <phases> [fault]` — tests/test_diff.cpp replays every line.
-void append_corpus(const DiffOptions& o, ref::Flavor flavor,
+void append_corpus(const conf::DiffOptions& o, ref::Flavor flavor,
                    std::uint64_t program_seed, std::uint64_t schedule_seed) {
   if (o.corpus.empty()) return;
   std::ofstream out(o.corpus, std::ios::app);
@@ -24,8 +23,7 @@ void append_corpus(const DiffOptions& o, ref::Flavor flavor,
     return;
   }
   out << ref::to_string(flavor) << ' ' << program_seed << ' ' << schedule_seed << ' '
-      << o.nodes << ' ' << o.phases << ' '
-      << (o.network.empty() ? "omega" : o.network.c_str());
+      << o.nodes << ' ' << o.phases << ' ' << core::to_string(o.fabric.network);
   if (!o.inject_fault.empty()) out << ' ' << o.inject_fault;
   out << '\n';
   std::printf("  recorded in corpus: %s\n", o.corpus.c_str());
@@ -33,46 +31,17 @@ void append_corpus(const DiffOptions& o, ref::Flavor flavor,
 
 }  // namespace
 
-int run_diff(const DiffOptions& o) {
-  std::vector<ref::Flavor> flavors = o.flavors;
-  if (flavors.empty()) {
-    flavors = {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl};
-  }
-  if (o.programs == 0 || o.schedules == 0) {
-    std::fprintf(stderr, "bcsim diff: --programs and --schedules must be >= 1\n");
-    return 2;
-  }
+int run_diff(const conf::DiffOptions& o, const conf::Replay& replay) {
   // --inject-fault goes through the fault-plan registry (sim/fault_plan.hpp):
   // the historical eager-flush/empty-gate names are registry aliases, and any
   // other name or inline spec (e.g. 'drop:p=0.05') works too.
-  sim::FaultPlan plan;
-  if (!o.inject_fault.empty()) {
-    try {
-      plan = sim::resolve_fault_plan(o.inject_fault);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "bcsim diff: %s\n", e.what());
-      return 2;
-    }
-  }
-  core::NetworkKind network = core::NetworkKind::kOmega;
-  if (o.network == "omega" || o.network.empty()) network = core::NetworkKind::kOmega;
-  else if (o.network == "crossbar") network = core::NetworkKind::kCrossbar;
-  else if (o.network == "mesh") network = core::NetworkKind::kMesh;
-  else if (o.network == "ideal") network = core::NetworkKind::kIdeal;
-  else {
-    std::fprintf(stderr, "bcsim diff: unknown --network '%s'\n", o.network.c_str());
-    return 2;
-  }
-
+  const sim::FaultPlan plan =
+      o.inject_fault.empty() ? sim::FaultPlan{} : sim::resolve_fault_plan(o.inject_fault);
   ref::DrfGenConfig gen;
   gen.n_nodes = o.nodes;
   gen.phases = o.phases;
 
-  std::string flavor_list;
-  for (const auto f : flavors) {
-    if (!flavor_list.empty()) flavor_list += ",";
-    flavor_list += ref::to_string(f);
-  }
+  const std::string flavor_list = join(o.flavors, [](ref::Flavor f) { return ref::to_string(f); });
   std::printf(
       "diff: %llu programs x %llu schedules x {%s}, nodes=%u, phases=%u%s%s\n",
       static_cast<unsigned long long>(o.programs),
@@ -99,16 +68,9 @@ int run_diff(const DiffOptions& o) {
 
     for (std::uint64_t ss = o.first_schedule; ss < o.first_schedule + o.schedules;
          ++ss) {
-      for (const ref::Flavor flavor : flavors) {
-        core::MachineConfig cfg = ref::flavor_config(flavor, prog.gen.n_nodes, ss);
-        core::apply_fault_plan(cfg, plan);
-        cfg.network = network;
-        cfg.net_buffer_depth = o.buffer_depth;
-        cfg.dir_pointer_limit = o.dir_limit;
-        cfg.dir_overflow = o.dir_overflow;
-        cfg.dir_region_nodes = o.dir_region;
-        // Network faults without a watchdog could hang a cell silently.
-        if (plan.has_net_rules()) cfg.watchdog_interval = 4096;
+      for (const ref::Flavor flavor : o.flavors) {
+        core::MachineConfig cfg =
+            ref::cell_machine_config(flavor, prog.gen.n_nodes, ss, o.fabric, plan);
         const ref::Divergence d = ref::diff_one(prog, ref1, flavor, ss, &cfg, o.budget);
         ++cells;
         if (!d.found()) continue;
@@ -118,14 +80,15 @@ int run_diff(const DiffOptions& o) {
                     ref::to_string(flavor), static_cast<unsigned long long>(ps),
                     static_cast<unsigned long long>(ss), o.nodes);
         std::printf("  %s\n", d.detail.c_str());
-        std::printf(
-            "  replay: bcsim diff --flavors %s --programs 1 --first-program %llu "
-            "--schedules 1 --first-schedule %llu --nodes %u --phases %u --network %s"
-            "%s%s\n",
-            ref::to_string(flavor), static_cast<unsigned long long>(ps),
-            static_cast<unsigned long long>(ss), o.nodes, o.phases,
-            core::to_string(network).data(),
-            o.inject_fault.empty() ? "" : " --inject-fault ", o.inject_fault.c_str());
+        std::printf("  replay: %s\n",
+                    replay
+                        .line({{"diff.flavors", ref::to_string(flavor)},
+                               {"diff.programs", "1"},
+                               {"diff.first_program", std::to_string(ps)},
+                               {"diff.schedules", "1"},
+                               {"diff.first_schedule", std::to_string(ss)},
+                               {"diff.corpus", ""}})
+                        .c_str());
         append_corpus(o, flavor, ps, ss);
 
         // Replay with the event-trace recorder on: the tail of the

@@ -1,9 +1,8 @@
-#include "bcsim_model.hpp"
+#include "bcsim_tools.hpp"
 
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <stdexcept>
 
 #include "model/battery.hpp"
 #include "model/bc_model.hpp"
@@ -14,23 +13,14 @@ namespace bcsim::tool {
 
 namespace {
 
-bool parse_network(const std::string& s, core::NetworkKind& out) {
-  if (s == "omega") out = core::NetworkKind::kOmega;
-  else if (s == "crossbar") out = core::NetworkKind::kCrossbar;
-  else if (s == "mesh") out = core::NetworkKind::kMesh;
-  else if (s == "ideal") out = core::NetworkKind::kIdeal;
-  else return false;
-  return true;
-}
-
 void print_violation(const model::LitmusTest& t,
                      const std::vector<model::Outcome>& allowed,
                      const model::LitmusRunResult& run, ref::Flavor flavor,
-                     const std::string& network, std::uint64_t seed,
-                     const ModelOptions& o) {
+                     core::NetworkKind network, std::uint64_t seed,
+                     const conf::Replay& replay) {
   std::printf("model: SOUNDNESS VIOLATION\n");
   std::printf("  litmus=%s flavor=%s network=%s schedule_seed=%llu\n",
-              t.name.c_str(), ref::to_string(flavor), network.c_str(),
+              t.name.c_str(), ref::to_string(flavor), core::to_string(network).data(),
               static_cast<unsigned long long>(seed));
   if (!run.error.empty()) {
     std::printf("  machine error: %s\n", run.error.c_str());
@@ -52,46 +42,23 @@ void print_violation(const model::LitmusTest& t,
           "matches no allowed outcome with these loads\n");
     }
   }
-  std::printf(
-      "  replay: bcsim model --tests %s --flavors %s --networks %s "
-      "--seeds 1 --first-seed %llu --nodes %u%s%s\n",
-      t.name.c_str(), ref::to_string(flavor), network.c_str(),
-      static_cast<unsigned long long>(seed), o.nodes,
-      o.inject_fault.empty() ? "" : " --inject-fault ", o.inject_fault.c_str());
+  std::printf("  replay: %s\n",
+              replay
+                  .line({{"model.tests", t.name},
+                         {"model.flavors", ref::to_string(flavor)},
+                         {"model.networks", std::string(core::to_string(network))},
+                         {"model.seeds", "1"},
+                         {"model.first_seed", std::to_string(seed)}})
+                  .c_str());
 }
 
 }  // namespace
 
-int run_model(const ModelOptions& o) {
-  if (o.seeds == 0) {
-    std::fprintf(stderr, "bcsim model: --seeds must be >= 1\n");
-    return 2;
-  }
-  // --inject-fault goes through the fault-plan registry (sim/fault_plan.hpp):
-  // the historical eager-flush/empty-gate names are registry aliases, and any
-  // other name or inline spec (e.g. 'drop:p=0.05') works too.
-  sim::FaultPlan plan;
-  if (!o.inject_fault.empty()) {
-    try {
-      plan = sim::resolve_fault_plan(o.inject_fault);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "bcsim model: %s\n", e.what());
-      return 2;
-    }
-  }
-  std::vector<ref::Flavor> flavors = o.flavors;
-  if (flavors.empty()) {
-    flavors = {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl};
-  }
-  std::vector<std::string> networks = o.networks;
-  if (networks.empty()) networks = {"omega", "mesh"};
-  for (const std::string& n : networks) {
-    core::NetworkKind kind{};
-    if (!parse_network(n, kind)) {
-      std::fprintf(stderr, "bcsim model: unknown network '%s'\n", n.c_str());
-      return 2;
-    }
-  }
+int run_model(const conf::ModelOptions& o, const conf::Replay& replay) {
+  // --inject-fault goes through the fault-plan registry (sim/fault_plan.hpp),
+  // as for `bcsim diff`.
+  const sim::FaultPlan plan =
+      o.inject_fault.empty() ? sim::FaultPlan{} : sim::resolve_fault_plan(o.inject_fault);
 
   const std::vector<model::LitmusTest> battery = model::litmus_battery();
   std::vector<const model::LitmusTest*> selected;
@@ -117,16 +84,9 @@ int run_model(const ModelOptions& o) {
     return 0;
   }
 
-  std::string flavor_list;
-  for (const auto f : flavors) {
-    if (!flavor_list.empty()) flavor_list += ",";
-    flavor_list += ref::to_string(f);
-  }
-  std::string network_list;
-  for (const auto& n : networks) {
-    if (!network_list.empty()) network_list += ",";
-    network_list += n;
-  }
+  const std::string flavor_list = join(o.flavors, [](ref::Flavor f) { return ref::to_string(f); });
+  const std::string network_list =
+      join(o.networks, [](core::NetworkKind n) { return core::to_string(n); });
   std::printf("model: %zu litmus tests x {%s} x {%s} x %llu seeds, nodes=%u%s%s\n",
               selected.size(), flavor_list.c_str(), network_list.c_str(),
               static_cast<unsigned long long>(o.seeds), o.nodes,
@@ -138,25 +98,17 @@ int run_model(const ModelOptions& o) {
   for (const model::LitmusTest* t : selected) {
     const std::vector<model::Outcome> allowed = model::enumerate_allowed(*t);
     std::map<model::Outcome, std::uint64_t> hits;
-    for (const std::string& network : networks) {
-      core::NetworkKind kind{};
-      (void)parse_network(network, kind);
-      for (const ref::Flavor flavor : flavors) {
+    ref::Fabric fabric = o.fabric;
+    for (const core::NetworkKind network : o.networks) {
+      fabric.network = network;
+      for (const ref::Flavor flavor : o.flavors) {
         for (std::uint64_t s = o.first_seed; s < o.first_seed + o.seeds; ++s) {
-          core::MachineConfig cfg = ref::flavor_config(flavor, o.nodes, s);
-          cfg.network = kind;
-          cfg.net_buffer_depth = o.buffer_depth;
-          cfg.dir_pointer_limit = o.dir_limit;
-          cfg.dir_overflow = o.dir_overflow;
-          cfg.dir_region_nodes = o.dir_region;
-          core::apply_fault_plan(cfg, plan);
-          // Network faults without a watchdog could hang a cell silently.
-          if (plan.has_net_rules()) cfg.watchdog_interval = 4096;
+          core::MachineConfig cfg = ref::cell_machine_config(flavor, o.nodes, s, fabric, plan);
           const model::LitmusRunResult run = model::run_litmus(*t, cfg, o.budget);
           ++cells;
           if (!run.error.empty() ||
               !model::outcome_allowed(allowed, run.outcome)) {
-            print_violation(*t, allowed, run, flavor, network, s, o);
+            print_violation(*t, allowed, run, flavor, network, s, replay);
             // Replay with the event-trace recorder on: the tail of the
             // interleaving goes to stderr (docs/OBSERVABILITY.md).
             std::printf("  replaying with event tracing enabled...\n");
