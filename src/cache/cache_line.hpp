@@ -79,4 +79,11 @@ struct CacheLine {
   }
 };
 
+// 1024 frames (Table 4's cache) x 120 B stays under glibc's default 128 KiB
+// mmap threshold, so a cache's frame vector comes from the heap instead of a
+// fresh mapping that is page-faulted in and unmapped per machine — which
+// dominated set-up of grids of small machines. 104 B with the 4-word inline
+// payload.
+static_assert(sizeof(CacheLine) <= 120, "CacheLine grew: 1024 frames must stay under 128 KiB");
+
 }  // namespace bcsim::cache

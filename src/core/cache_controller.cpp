@@ -153,9 +153,8 @@ void CacheController::evict(cache::CacheLine& victim) {
     // Only dirty words are written back (per-word dirty bits, Figure 2a).
     auto put = make(MsgType::kPutM, victim.block);
     put.data = victim.data;
-    put.dirty_mask = victim.dirty_mask != 0
-                         ? victim.dirty_mask
-                         : ((1u << config_.block_words) - 1u);
+    put.dirty_mask = victim.dirty_mask != 0 ? victim.dirty_mask
+                                            : net::full_block_mask(config_.block_words);
     send(std::move(put));
     stats_.counter("cache.writebacks").add();
   }
@@ -497,7 +496,8 @@ void CacheController::perform_recall(cache::CacheLine* line, std::uint8_t aux) {
   assert(line != nullptr && line->msi == MsiState::kModified);
   auto ack = make(MsgType::kRecallAck, line->block);
   ack.data = line->data;
-  ack.dirty_mask = line->dirty_mask != 0 ? line->dirty_mask : ((1u << config_.block_words) - 1u);
+  ack.dirty_mask =
+      line->dirty_mask != 0 ? line->dirty_mask : net::full_block_mask(config_.block_words);
   ack.aux = aux;
   send(std::move(ack));
   if (aux == 0) {

@@ -76,7 +76,7 @@ void CacheController::on_ru_update(const net::Message& m) {
     // one (chains for different writes take different hop sequences).
     line->ru_version = m.value;
     for (std::uint32_t w = 0; w < config_.block_words; ++w) {
-      if (!(line->dirty_mask & (1u << w))) line->data[w] = m.data.words[w];
+      if (!(line->dirty_mask & (1u << w))) line->data[w] = m.data[w];
     }
     sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kUpdateApplied, node_, m.block,
                              1, 1, m.value);

@@ -31,7 +31,7 @@ class MemoryModule {
     net::BlockData out;
     out.count = static_cast<std::uint8_t>(block_words_);
     if (auto it = blocks_.find(b); it != blocks_.end()) {
-      for (std::uint32_t i = 0; i < block_words_; ++i) out.words[i] = it->second[i];
+      for (std::uint32_t i = 0; i < block_words_; ++i) out[i] = it->second[i];
     }
     return out;
   }
@@ -53,7 +53,7 @@ class MemoryModule {
     if (dirty_mask == 0) return;
     auto& w = storage_of(b);
     for (std::uint32_t i = 0; i < block_words_ && i < data.count; ++i) {
-      if (dirty_mask & (1u << i)) w[i] = data.words[i];
+      if (dirty_mask & (1u << i)) w[i] = data[i];
     }
   }
 

@@ -1,14 +1,18 @@
 // Network message format shared by all coherence/synchronization protocols.
 //
 // A single message struct (rather than a class hierarchy) keeps the network
-// layer trivially copyable and allocation-free on the hot path. The `type`
-// field selects which of the optional fields are meaningful; the protocol
-// layers document field usage per type. The network only looks at
-// src/dst/unit and the size class derived from `type`/payload.
+// layer simple and, for blocks of up to BlockData::kInlineWords words,
+// allocation-free on the hot path. The `type` field selects which of the
+// optional fields are meaningful; the protocol layers document field usage
+// per type. The network only looks at src/dst/unit and the size class
+// derived from `type`/payload.
 #pragma once
 
-#include <array>
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -16,18 +20,124 @@
 
 namespace bcsim::net {
 
-/// Upper bound on cache line length in words (config may use less).
+/// Upper bound on cache line length in words (config may use less). Per-word
+/// dirty masks are 32-bit, so this cannot grow past 32.
 inline constexpr std::size_t kMaxBlockWords = 32;
 
-/// Fixed-capacity block payload; avoids heap traffic per message.
-struct BlockData {
-  std::array<Word, kMaxBlockWords> words{};
+/// Mask with one bit per word of a `words`-word block (1..kMaxBlockWords):
+/// the dirty mask of a whole-block writeback. `(1u << 32) - 1` is undefined
+/// behaviour (x86 masks the shift to 0, which yields an empty mask), hence
+/// the explicit full-width case.
+[[nodiscard]] constexpr std::uint32_t full_block_mask(std::uint32_t words) noexcept {
+  return words >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << words) - 1u;
+}
+
+/// Block payload sized to the block. It reads as a zero-initialised
+/// kMaxBlockWords-word array at every index, but keeps only its first
+/// kInlineWords words in place — the paper's Table 4 block. The first write
+/// past them moves the payload into one zeroed kMaxBlockWords-word heap cell
+/// (the inline-or-heap idiom of sim::EventFn). Storing all 32 words in place
+/// would make every cache frame 320 B and every Message 360 B, nearly all of
+/// it zeros.
+class BlockData {
+ public:
+  static constexpr std::size_t kInlineWords = 4;
+
   std::uint8_t count = 0;  ///< number of valid words (0 = no payload)
 
+  BlockData() noexcept = default;
+  /// A `words.size()`-word payload holding `words`.
+  BlockData(std::initializer_list<Word> words)
+      : count(static_cast<std::uint8_t>(words.size())) {
+    assert(words.size() <= kMaxBlockWords);
+    std::size_t i = 0;
+    for (const Word w : words) (*this)[i++] = w;
+  }
+  BlockData(const BlockData& o) : count(o.count) { copy_words(o); }
+  /// A moved-from payload stays valid: unchanged when inline, empty (count
+  /// 0, all words 0) when its heap cell was taken.
+  BlockData(BlockData&& o) noexcept : count(o.count) { take_words(o); }
+  BlockData& operator=(const BlockData& o) {
+    if (this != &o) {
+      count = o.count;
+      copy_words(o);
+    }
+    return *this;
+  }
+  BlockData& operator=(BlockData&& o) noexcept {
+    if (this != &o) {
+      count = o.count;
+      take_words(o);
+    }
+    return *this;
+  }
+  ~BlockData() { free_cell(); }
+
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
-  Word& operator[](std::size_t i) noexcept { return words[i]; }
-  const Word& operator[](std::size_t i) const noexcept { return words[i]; }
+  /// True once a write went past the inline words.
+  [[nodiscard]] bool spilled() const noexcept { return cap_ != kInlineWords; }
+
+  /// Word `i` (< kMaxBlockWords); words never written read as 0.
+  [[nodiscard]] Word operator[](std::size_t i) const noexcept {
+    assert(i < kMaxBlockWords);
+    return i < cap_ ? words_[i] : Word{0};
+  }
+  /// Writable word `i` (< kMaxBlockWords); spills on the first index past
+  /// the inline words.
+  Word& operator[](std::size_t i) {
+    assert(i < kMaxBlockWords);
+    if (i >= cap_) [[unlikely]] spill();
+    return words_[i];
+  }
+
+ private:
+  void spill() {
+    Word* cell = new Word[kMaxBlockWords]();
+    std::copy_n(inline_, kInlineWords, cell);
+    words_ = cell;
+    cap_ = kMaxBlockWords;
+  }
+  void free_cell() noexcept {
+    if (spilled()) {
+      delete[] words_;
+      words_ = inline_;
+      cap_ = kInlineWords;
+    }
+  }
+  /// Copies o's words, reusing this payload's heap cell when both spilled.
+  void copy_words(const BlockData& o) {
+    if (!o.spilled()) {
+      free_cell();
+      std::copy_n(o.inline_, kInlineWords, inline_);
+      return;
+    }
+    if (!spilled()) {
+      words_ = new Word[kMaxBlockWords];
+      cap_ = kMaxBlockWords;
+    }
+    std::copy_n(o.words_, kMaxBlockWords, words_);
+  }
+  /// Copies inline words; takes o's heap cell and empties o.
+  void take_words(BlockData& o) noexcept {
+    free_cell();
+    if (!o.spilled()) {
+      std::copy_n(o.inline_, kInlineWords, inline_);
+      return;
+    }
+    words_ = o.words_;
+    cap_ = kMaxBlockWords;
+    o.words_ = o.inline_;
+    o.cap_ = kInlineWords;
+    o.count = 0;
+    std::fill_n(o.inline_, kInlineWords, Word{0});
+  }
+
+  // Declared right after `count`, so the two bytes share one word.
+  std::uint8_t cap_ = kInlineWords;  ///< words addressable through words_
+  Word* words_ = inline_;            ///< inline_, or the heap cell once spilled
+  Word inline_[kInlineWords] = {};
 };
+static_assert(sizeof(BlockData) <= 48, "BlockData: count and cap_ share a word");
 
 /// Which unit at the destination node consumes the message. Memory modules
 /// (and their directory slice) are co-located with processor nodes, per the
@@ -170,6 +280,11 @@ struct Message {
   /// structure").
   std::vector<NodeId> chain;
 };
+
+// Every send moves a Message by value through send -> route_and_deliver ->
+// schedule_delivery into a MessagePool slot, so keep it small (144 B with
+// the 4-word inline payload).
+static_assert(sizeof(Message) <= 160, "Message grew: the by-value send path copies it");
 
 /// True for messages generated by synchronization (locks, barriers, RMW)
 /// as opposed to ordinary data coherence. The paper's opening observation

@@ -31,12 +31,12 @@ class Transport;
 /// Handler invoked at the destination when a message arrives.
 using DeliverFn = std::function<void(const Message&)>;
 
-/// Free-list pool of in-flight Messages. A Message is ~350 bytes (block
-/// payload + chain vector), so carrying one inside every delivery closure
-/// used to mean a heap allocation per send and a free per delivery. The
-/// pool recycles the objects instead: the closure captures a bare pointer
-/// (which also keeps it inside EventFn's inline buffer) and the pool's
-/// steady state allocates nothing.
+/// Free-list pool of in-flight Messages. A Message is ~150 bytes (header,
+/// inline block payload, chain vector), so carrying one inside every
+/// delivery closure used to mean a heap allocation per send and a free per
+/// delivery. The pool recycles the objects instead: the closure captures a
+/// bare pointer (which also keeps it inside EventFn's inline buffer) and the
+/// pool's steady state allocates nothing.
 class MessagePool {
  public:
   /// Moves `m` into a pooled slot and returns its stable address.

@@ -45,6 +45,8 @@ class WorkQueueWorkload {
   /// Number of tasks actually executed (valid after the run; read from
   /// simulated memory, so it also checks queue integrity).
   [[nodiscard]] std::uint64_t tasks_executed(const core::Machine& machine) const;
+  /// The global task budget; a correct run executes exactly this many.
+  [[nodiscard]] std::uint32_t total_tasks() const noexcept { return cfg_.total_tasks; }
 
  private:
   sim::Task data_reference(core::Processor& p);

@@ -16,6 +16,7 @@
 #include "conf/conf.hpp"
 #include "conf/scenario.hpp"
 #include "core/machine.hpp"
+#include "workload/work_queue_model.hpp"
 #include "test_util.hpp"
 
 #ifndef BCSIM_CONFIGS_DIR
@@ -46,6 +47,11 @@ std::uint64_t run_digest(const conf::Scenario& s) {
   conf::WorkloadInstance wl(m, s.workload);
   const Tick t = m.run(500'000'000);
   EXPECT_TRUE(m.all_done()) << "programs stuck at tick " << t;
+  // The digest covers statistics, not memory: check the work queue's own
+  // result too (a lost lock writeback leaves the digest intact).
+  if (auto* wq = wl.work_queue()) {
+    EXPECT_EQ(wq->tasks_executed(m), wq->total_tasks());
+  }
   return m.stats_digest();
 }
 
@@ -132,6 +138,15 @@ TEST(ConfigsGrid, CiCblCrossbarSolverMatchesFlagRun) {
   flags.workload.kind = "solver";
   flags.workload.solver.iterations = 4;
   expect_matches_flags("ci/cbl-crossbar-solver.conf", flags);
+}
+
+TEST(ConfigsGrid, CiCblBlock32MatchesFlagRun) {
+  conf::Scenario flags;
+  flags.machine.nodes = 8;
+  flags.machine.block_words = 32;
+  flags.workload.work_queue.total_tasks = 64;
+  flags.workload.work_queue.grain = 40;
+  expect_matches_flags("ci/cbl-block32.conf", flags);
 }
 
 TEST(ConfigsGrid, CiReplayMatchesFlagRun) {

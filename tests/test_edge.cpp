@@ -61,6 +61,33 @@ TEST(Edge, OneWordBlocks) {
   EXPECT_EQ(m.peek_memory(lock), 24u);
 }
 
+TEST(Edge, CblLockDataSurvives32WordBlocks) {
+  // The final lock writeback of a 32-word block carries a full dirty mask;
+  // computed as (1u << 32) - 1 it was undefined (0 on x86) and memory
+  // silently kept the stale counter. Same lock counter as OneWordBlocks,
+  // under both data protocols.
+  for (const auto data : {core::DataProtocol::kReadUpdate, core::DataProtocol::kWbi}) {
+    auto cfg = paper_config(4);
+    cfg.block_words = 32;
+    cfg.data_protocol = data;
+    if (data == core::DataProtocol::kWbi) cfg.consistency = core::Consistency::kSequential;
+    Machine m(cfg);
+    const Addr lock = 7;
+    auto prog = [&](Processor& p) -> sim::Task {
+      for (int k = 0; k < 6; ++k) {
+        co_await p.write_lock(lock);
+        const Word v = co_await p.read(lock);
+        co_await p.write(lock, v + 1);
+        co_await p.unlock(lock);
+      }
+    };
+    for (NodeId i = 0; i < 4; ++i) m.spawn(prog(m.processor(i)));
+    run_all(m);
+    EXPECT_EQ(m.peek_memory(lock), 24u)
+        << (data == core::DataProtocol::kWbi ? "WBI" : "RU") << " data protocol";
+  }
+}
+
 TEST(Edge, MaximumBlockSize32Words) {
   auto cfg = paper_config(4);
   cfg.block_words = 32;

@@ -36,7 +36,7 @@ TEST(MemoryModule, UntouchedMemoryReadsZero) {
   EXPECT_EQ(mm.read_word(100, 2), 0u);
   const auto block = mm.read_block(100);
   EXPECT_EQ(block.count, 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(block.words[static_cast<std::size_t>(i)], 0u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(block[static_cast<std::size_t>(i)], 0u);
   EXPECT_EQ(mm.resident_blocks(), 0u) << "reads must not materialize blocks";
 }
 
@@ -53,13 +53,9 @@ TEST(MemoryModule, MaskedWritebackMergesOnlyDirtyWords) {
   // per-word dirty bits. Neither update may be lost (paper section 3,
   // issue 6).
   MemoryModule mm(4, 1, 4);
-  net::BlockData from_a;
-  from_a.count = 4;
-  from_a.words = {1, 99, 99, 99};
+  const net::BlockData from_a{1, 99, 99, 99};
   mm.write_block_masked(5, from_a, 0b0001);  // only word 0 is dirty
-  net::BlockData from_b;
-  from_b.count = 4;
-  from_b.words = {88, 88, 88, 2};
+  const net::BlockData from_b{88, 88, 88, 2};
   mm.write_block_masked(5, from_b, 0b1000);  // only word 3 is dirty
   EXPECT_EQ(mm.read_word(5, 0), 1u);
   EXPECT_EQ(mm.read_word(5, 1), 0u);
@@ -67,11 +63,21 @@ TEST(MemoryModule, MaskedWritebackMergesOnlyDirtyWords) {
   EXPECT_EQ(mm.read_word(5, 3), 2u);
 }
 
+TEST(MemoryModule, FullMaskWritebackOf32WordBlockStoresEveryWord) {
+  MemoryModule mm(32, 1, 4);
+  net::BlockData d;
+  d.count = 32;
+  for (std::size_t i = 0; i < 32; ++i) d[i] = 1000 + i;
+  mm.write_block_masked(2, d, net::full_block_mask(32));
+  for (std::uint32_t i = 0; i < 32; ++i) EXPECT_EQ(mm.read_word(2, i), 1000u + i) << "word " << i;
+  const auto back = mm.read_block(2);
+  EXPECT_EQ(back.count, 32u);
+  EXPECT_EQ(back[31], 1031u);
+}
+
 TEST(MemoryModule, EmptyMaskWritesNothing) {
   MemoryModule mm(4, 1, 4);
-  net::BlockData d;
-  d.count = 4;
-  d.words = {7, 7, 7, 7};
+  const net::BlockData d{7, 7, 7, 7};
   mm.write_block_masked(3, d, 0);
   EXPECT_EQ(mm.resident_blocks(), 0u);
 }

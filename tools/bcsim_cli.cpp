@@ -17,7 +17,10 @@
 // integer/boolean expressions with $(key) references, `-k key=value`
 // overrides, strict unknown-key/type/range errors naming file:line (or
 // `<flag NAME>` for a flag). `--dump-config` prints the file's resolved
-// table and exits. A malformed flag or value exits 2 before any output.
+// table and exits. A malformed flag or value exits 2 before any output. A
+// run whose result is wrong — a `bit-exact vs host: NO`, or a work queue
+// that did not execute its whole task budget — prints everything, writes
+// every output file, and exits 1.
 //
 // Flags of `bcsim [run]`, `check` and `trace` (defaults in brackets; the
 // key each flag aliases is tabled in docs/CONFIGS.md, "Flags are config
@@ -593,25 +596,36 @@ int run(const conf::RunOptions& o) {
                   m.stats().counter_value("net.contention_cycles")));
   std::printf("digest:     %016llx\n",
               static_cast<unsigned long long>(m.stats_digest()));
+  // A wrong result is still reported in full (and every output file is
+  // written) before the run exits 1.
+  bool correct = true;
+  const auto verdict = [&correct](bool ok) {
+    correct = correct && ok;
+    return ok ? "yes" : "NO";
+  };
   if (auto* wq = w.work_queue()) {
-    std::printf("work queue: %llu tasks executed\n",
-                static_cast<unsigned long long>(wq->tasks_executed(m)));
+    const std::uint64_t executed = wq->tasks_executed(m);
+    std::printf("work queue: %llu tasks executed\n", static_cast<unsigned long long>(executed));
+    if (executed != wq->total_tasks()) {
+      correct = false;
+      std::fprintf(stderr, "bcsim: work queue executed %llu of its %u-task budget\n",
+                   static_cast<unsigned long long>(executed), wq->total_tasks());
+    }
   }
   if (auto* solver = w.solver()) {
     std::printf("solver:     residual %.3e, bit-exact vs host: %s\n", solver->residual(m),
-                solver->solution(m) == solver->reference() ? "yes" : "NO");
+                verdict(solver->solution(m) == solver->reference()));
   }
   if (auto* stencil = w.stencil()) {
     std::printf("stencil:    bit-exact vs host: %s\n",
-                stencil->result(m) == stencil->reference() ? "yes" : "NO");
+                verdict(stencil->result(m) == stencil->reference()));
   }
   if (auto* grid = w.grid()) {
     std::printf("grid:       bit-exact vs host: %s\n",
-                grid->result(m) == grid->reference() ? "yes" : "NO");
+                verdict(grid->result(m) == grid->reference()));
   }
   if (auto* fft = w.fft()) {
-    std::printf("fft:        bit-exact vs host: %s\n",
-                fft->actual(m) == fft->expected() ? "yes" : "NO");
+    std::printf("fft:        bit-exact vs host: %s\n", verdict(fft->actual(m) == fft->expected()));
   }
   if (spec.trace) {
     const auto& tr = m.simulator().trace();
@@ -645,6 +659,10 @@ int run(const conf::RunOptions& o) {
     }
     m.stats().write_csv(out);
     std::printf("stats written to %s\n", o.csv.c_str());
+  }
+  if (!correct) {
+    std::fprintf(stderr, "bcsim: wrong result\n");
+    return 1;
   }
   return 0;
 }
