@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "conf/strict_parse.hpp"
@@ -339,6 +341,53 @@ ChaosOptions read_chaos(const Table& t) {
   return o;
 }
 
+bool for_each_cell(const DiffOptions& o, const CellVisitor& visit) {
+  ref::Cell c;
+  c.fabric = o.fabric;
+  c.nodes = o.nodes;
+  c.phases = o.phases;
+  c.plan = o.inject_fault;
+  for (c.program_seed = o.first_program; c.program_seed < o.first_program + o.programs;
+       ++c.program_seed) {
+    for (c.schedule_seed = o.first_schedule;
+         c.schedule_seed < o.first_schedule + o.schedules; ++c.schedule_seed) {
+      for (const ref::Flavor f : o.flavors) {
+        c.flavor = f;
+        if (!visit(c)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool for_each_cell(const ChaosOptions& o, const CellVisitor& visit) {
+  ref::Cell c;
+  c.fabric = o.fabric;
+  c.nodes = o.nodes;
+  c.phases = o.phases;
+  c.watchdog = o.watchdog_interval;
+  c.watchdog_stalls = o.watchdog_stalls;
+  c.trace_dump = o.trace_dump;
+  for (const std::string& plan : o.plans) {
+    c.plan = plan;
+    for (const core::NetworkKind network : o.networks) {
+      c.fabric.network = network;
+      for (const ref::Flavor f : o.flavors) {
+        c.flavor = f;
+        for (std::uint64_t fs = o.first_seed; fs < o.first_seed + o.seeds; ++fs) {
+          c.fault_seed = fs;
+          c.schedule_seed = fs;
+          for (c.program_seed = o.first_program;
+               c.program_seed < o.first_program + o.programs; ++c.program_seed) {
+            if (!visit(c)) return false;
+          }
+        }
+      }
+    }
+  }
+  return true;
+}
+
 namespace {
 
 /// True when setting `key` to `v` alone reads back as the defaults.
@@ -372,6 +421,66 @@ std::string Replay::line(const std::vector<Override>& cell) const {
     out += " ";
     out += f.name;
     if (f.type != FlagType::kSwitch) out += " " + value;
+  }
+  return out;
+}
+
+std::string Replay::line(const ref::Cell& c) const {
+  const std::string flavor = ref::to_string(c.flavor);
+  if (command_ == "diff") {
+    return line({{"diff.flavors", flavor},
+                 {"diff.programs", "1"},
+                 {"diff.first_program", std::to_string(c.program_seed)},
+                 {"diff.schedules", "1"},
+                 {"diff.first_schedule", std::to_string(c.schedule_seed)},
+                 {"diff.corpus", ""}});
+  }
+  return line({{"chaos.plans", c.plan},
+               {"chaos.flavors", flavor},
+               {"chaos.networks", std::string(core::to_string(c.fabric.network))},
+               {"chaos.seeds", "1"},
+               {"chaos.first_seed", std::to_string(c.schedule_seed)},
+               {"chaos.programs", "1"},
+               {"chaos.first_program", std::to_string(c.program_seed)},
+               {"chaos.corpus", ""}});
+}
+
+std::optional<CorpusEntry> parse_corpus_line(const std::string& line) {
+  std::istringstream is(line);
+  std::vector<std::string> words;
+  for (std::string w; is >> w;) words.push_back(std::move(w));
+  if (words.empty() || words[0][0] == '#') return std::nullopt;
+  CorpusEntry e;
+  const auto verdict = ref::parse_verdict(words[0]);
+  if (!verdict) throw std::invalid_argument("unknown verdict '" + words[0] + "'");
+  e.verdict = *verdict;
+  if (words.size() < 3 || words[1] != "bcsim" || (words[2] != "diff" && words[2] != "chaos")) {
+    throw std::invalid_argument("expected '<verdict> bcsim diff|chaos <options>'");
+  }
+  const std::vector<std::string> args(words.begin() + 3, words.end());
+  if (std::find(args.begin(), args.end(), "--config") != args.end()) {
+    throw std::invalid_argument("a corpus line spells every option; --config is not allowed");
+  }
+  const Table t = parse_command_line(words[2], args).table;
+  if (words[2] == "diff") {
+    e.options = read_diff(t);
+  } else {
+    e.options = read_chaos(t);
+  }
+  return e;
+}
+
+std::vector<CorpusEntry> load_corpus(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("corpus: cannot open " + path);
+  std::vector<CorpusEntry> out;
+  std::string line;
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    try {
+      if (auto e = parse_corpus_line(line)) out.push_back(std::move(*e));
+    } catch (const std::exception& ex) {
+      throw std::invalid_argument(path + ":" + std::to_string(lineno) + ": " + ex.what());
+    }
   }
   return out;
 }

@@ -13,8 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "conf/conf.hpp"
@@ -98,7 +101,7 @@ struct DiffOptions {
   /// distance-dependent paths widen reorder windows, which is what makes
   /// the injected flush-gate faults observable.
   ref::Fabric fabric;
-  std::string corpus;  ///< file divergent seeds are appended to; empty = off
+  std::string corpus;  ///< failing cells are appended here (tests/corpus.txt); empty = off
   /// Fault injected into every machine run: a fault-plan registry name or
   /// inline spec (sim/fault_plan.hpp; "eager-flush"/"empty-gate" are
   /// aliases). Exists to prove the oracle catches consistency bugs.
@@ -150,12 +153,22 @@ struct ChaosOptions {
   std::size_t trace_dump = 64;
   ref::Fabric fabric;  ///< each cell's network comes from `networks`
   /// Failing (wrong/hung) cells are appended here so the test suite
-  /// replays them forever (tests/chaos_corpus.txt). Empty = off.
+  /// replays them forever (tests/corpus.txt). Empty = off.
   std::string corpus;
   Tick budget = 50'000'000;
   bool operator==(const ChaosOptions&) const = default;
 };
 [[nodiscard]] ChaosOptions read_chaos(const Table& t);
+
+/// Receives the cells of a sweep in order; returning false stops it.
+using CellVisitor = std::function<bool(const ref::Cell&)>;
+
+/// The oracle cells a `bcsim diff` or `bcsim chaos` invocation sweeps,
+/// streamed in sweep order: diff nests program, schedule and flavor; chaos
+/// nests plan, network, flavor, fault seed and program, and runs each fault
+/// seed under the same schedule seed. False when `visit` stopped the sweep.
+bool for_each_cell(const DiffOptions& o, const CellVisitor& visit);
+bool for_each_cell(const ChaosOptions& o, const CellVisitor& visit);
 
 /// Replay commands for the failing cells of a sweep, printed from the
 /// subcommand's option table so a replay rebuilds the same machine.
@@ -170,9 +183,32 @@ class Replay {
   /// differs from its default. run/check/trace count only [machine] keys.
   [[nodiscard]] std::string line(const std::vector<Override>& cell) const;
 
+  /// The line that sweeps exactly `cell` with this diff or chaos
+  /// invocation's other options.
+  [[nodiscard]] std::string line(const ref::Cell& cell) const;
+
  private:
   std::string command_;
   Table resolved_;
 };
+
+/// One line of the regression corpus: `<verdict> <replay command>`, where
+/// the command is a `bcsim diff` or `bcsim chaos` line as Replay prints it
+/// and every cell it sweeps must end in `verdict`.
+struct CorpusEntry {
+  ref::Verdict verdict = ref::Verdict::kTransparent;
+  std::variant<DiffOptions, ChaosOptions> options;
+};
+
+/// Reads one corpus line through parse_command_line and the section
+/// reader; nullopt for a blank or '#' comment line. Throws
+/// std::invalid_argument for an unknown verdict or command, or a line
+/// that loads a config file, and the parser's errors for bad options.
+[[nodiscard]] std::optional<CorpusEntry> parse_corpus_line(const std::string& line);
+
+/// Every entry of a corpus file. Throws std::invalid_argument naming
+/// `path:line` for a malformed line, std::runtime_error when the file
+/// cannot be opened.
+[[nodiscard]] std::vector<CorpusEntry> load_corpus(const std::string& path);
 
 }  // namespace bcsim::conf

@@ -142,15 +142,17 @@ sim::RunResult Machine::run_events(Tick max_cycles) {
       (max_cycles == kNever || max_cycles > kNever - now0) ? kNever : now0 + max_cycles;
   std::uint64_t last_retired = ops_retired_total();
   std::uint32_t stalls = 0;
+  // Slices end on fixed boundaries, but the clock stays at the last event:
+  // a drained queue leaves now() at the run's true completion tick.
+  Tick slice_end = now0;
   for (;;) {
-    Tick target = (config_.watchdog_interval > kNever - sim_.now())
-                      ? kNever
-                      : sim_.now() + config_.watchdog_interval;
-    if (target > deadline) target = deadline;
-    const sim::RunResult result = sim_.run_until(target);
-    if (result == sim::RunResult::kStopped) return result;
-    if (sim_.pending_events() == 0) return sim::RunResult::kIdle;
-    if (sim_.now() >= deadline) return sim::RunResult::kBudget;
+    slice_end = (config_.watchdog_interval > kNever - slice_end)
+                    ? kNever
+                    : slice_end + config_.watchdog_interval;
+    if (slice_end > deadline) slice_end = deadline;
+    const sim::RunResult result = sim_.run(slice_end - sim_.now());
+    if (result != sim::RunResult::kBudget) return result;
+    if (slice_end >= deadline) return sim::RunResult::kBudget;
     // Progress check: events are firing but nothing retires. Protocol-only
     // churn after the programs finished (drain, retransmits) is fine; it
     // either completes or ends in a give-up and the queue drains.

@@ -3,6 +3,8 @@
 #include <limits>
 #include <sstream>
 
+#include "sim/fault_plan.hpp"
+
 namespace bcsim::ref {
 
 const char* to_string(Flavor f) noexcept {
@@ -177,6 +179,65 @@ Divergence diff_one(const DrfProgram& prog, const RefResult& ref, Flavor flavor,
   cfg.schedule_seed = schedule_seed;
   const MachineRunResult mach = run_on_machine(prog, cfg, budget);
   return compare_runs(prog, ref, mach, cfg.block_words);
+}
+
+core::MachineConfig cell_config(const Cell& cell) {
+  sim::FaultPlan plan =
+      cell.plan.empty() ? sim::FaultPlan{} : sim::resolve_fault_plan(cell.plan);
+  if (cell.fault_seed) plan.seed = *cell.fault_seed;
+  core::MachineConfig cfg =
+      cell_machine_config(cell.flavor, cell.nodes, cell.schedule_seed, cell.fabric, plan);
+  if (cell.watchdog) cfg.watchdog_interval = *cell.watchdog;
+  cfg.watchdog_stalls = cell.watchdog_stalls;
+  cfg.trace_dump = cell.trace_dump;
+  return cfg;
+}
+
+Oracle make_oracle(const Cell& cell) {
+  DrfGenConfig gen;
+  gen.n_nodes = cell.nodes;
+  gen.phases = cell.phases;
+  Oracle o{generate_drf_program(cell.program_seed, gen), {}, false};
+  // A DRF program's comparison stream must not depend on the reference
+  // schedule; a second schedule is the generator's self-check.
+  o.ref = RefMachine(o.prog, 1).run();
+  const RefResult again = RefMachine(o.prog, 0x9e3779b97f4a7c15ULL).run();
+  o.drf = !o.ref.deadlocked && ref_results_agree(o.ref, again);
+  return o;
+}
+
+const char* to_string(Verdict v) noexcept {
+  switch (v) {
+    case Verdict::kTransparent: return "transparent";
+    case Verdict::kDiagnosed: return "diagnosed";
+    case Verdict::kWrong: return "wrong";
+    case Verdict::kHung: return "hung";
+  }
+  return "?";
+}
+
+std::optional<Verdict> parse_verdict(std::string_view s) noexcept {
+  for (const Verdict v :
+       {Verdict::kTransparent, Verdict::kDiagnosed, Verdict::kWrong, Verdict::kHung}) {
+    if (s == to_string(v)) return v;
+  }
+  return std::nullopt;
+}
+
+CellResult run_cell(const Cell& cell, const Oracle& oracle, Tick budget) {
+  const core::MachineConfig cfg = cell_config(cell);
+  const MachineRunResult mach = run_on_machine(oracle.prog, cfg, budget);
+  CellResult out;
+  out.divergence = compare_runs(oracle.prog, oracle.ref, mach, cfg.block_words);
+  if (mach.completed && mach.error.empty()) {
+    out.verdict = out.divergence.found() ? Verdict::kWrong : Verdict::kTransparent;
+  } else if (mach.error.find("liveness watchdog") != std::string::npos ||
+             mach.error.find("invariant violation") != std::string::npos) {
+    // A terminated run is diagnosed only when it explains itself; a bare
+    // budget exhaustion or an unexpected exception is a hang.
+    out.verdict = Verdict::kDiagnosed;
+  }
+  return out;
 }
 
 }  // namespace bcsim::ref

@@ -1,13 +1,15 @@
-// Differential-oracle harness: machine flavors, result comparison, and
-// first-divergence reporting (docs/TESTING.md, "Differential testing").
+// Differential-oracle harness: machine flavors, result comparison,
+// first-divergence reporting, and the oracle cell that `bcsim diff` and
+// `bcsim chaos` sweep (docs/TESTING.md, "Differential testing" and "Chaos
+// testing & liveness").
 //
 // One comparison = one DRF program (drf_program.hpp) executed on the
 // golden SC reference (ref_machine.hpp) and on a full machine flavor
 // (machine_runner.hpp) under one schedule seed. A clean comparison means
 // the machine's observable behavior is sequentially consistent for that
 // properly-synchronized program — the paper's section 3 claim, checked
-// end-to-end. `bcsim diff` sweeps a (program_seed x schedule_seed) grid
-// over all flavors; tests drive diff_one directly.
+// end-to-end. A Cell adds the fabric, an optional fault plan and the
+// liveness watchdog, and run_cell classifies the run into one Verdict.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +100,69 @@ struct Divergence {
 [[nodiscard]] Divergence diff_one(const DrfProgram& prog, const RefResult& ref,
                                   Flavor flavor, std::uint64_t schedule_seed,
                                   const core::MachineConfig* base = nullptr,
+                                  Tick budget = 100'000'000);
+
+/// One oracle cell: a generated DRF program run on one machine flavor and
+/// fabric, under one schedule seed and an optional fault plan.
+struct Cell {
+  Flavor flavor = Flavor::kRu;
+  Fabric fabric;
+  std::uint64_t program_seed = 0;
+  std::uint64_t schedule_seed = 0;
+  std::uint32_t nodes = 8;
+  std::uint32_t phases = 3;
+  /// Fault-plan registry name or inline spec (sim::resolve_fault_plan);
+  /// empty = a healthy fabric.
+  std::string plan;
+  /// Overrides the plan's lottery seed, so one spec fans out into many
+  /// distinct fault patterns; unset = the seed the spec names.
+  std::optional<std::uint64_t> fault_seed;
+  /// Liveness watchdog interval; unset = cell_machine_config's choice
+  /// (armed at 4096 ticks exactly when the plan has network rules).
+  std::optional<Tick> watchdog;
+  std::uint32_t watchdog_stalls = 3;
+  std::size_t trace_dump = 64;  ///< trace-tail size in watchdog reports
+  bool operator==(const Cell&) const = default;
+};
+
+/// The machine a cell runs on. Throws std::invalid_argument for an
+/// unresolvable plan spec.
+[[nodiscard]] core::MachineConfig cell_config(const Cell& cell);
+
+/// A cell's program and its SC reference run, shared by every cell of one
+/// program seed.
+struct Oracle {
+  DrfProgram prog;
+  RefResult ref;
+  /// Two reference schedules agreed and neither deadlocked: the program is
+  /// data-race-free. False is a generator bug, not a machine verdict.
+  bool drf = false;
+};
+
+[[nodiscard]] Oracle make_oracle(const Cell& cell);
+
+/// How a cell ended:
+///   * transparent — completed and indistinguishable from the SC reference
+///     (any injected fault was masked);
+///   * diagnosed — terminated with a liveness-watchdog or invariant
+///     diagnosis, which is how a fabric that cannot recover must fail;
+///   * wrong — completed but diverged from the reference: a protocol bug;
+///   * hung — died without a diagnosis (bare budget exhaustion, an
+///     unexpected exception): the watchdog missed it.
+enum class Verdict : std::uint8_t { kTransparent, kDiagnosed, kWrong, kHung };
+
+[[nodiscard]] const char* to_string(Verdict v) noexcept;
+[[nodiscard]] std::optional<Verdict> parse_verdict(std::string_view s) noexcept;
+
+struct CellResult {
+  Verdict verdict = Verdict::kHung;
+  Divergence divergence;  ///< kNone exactly when transparent
+};
+
+/// Runs `cell` against `oracle` (built by make_oracle for the same program
+/// seed, nodes and phases). Simulation failures never throw; they
+/// classify the cell.
+[[nodiscard]] CellResult run_cell(const Cell& cell, const Oracle& oracle,
                                   Tick budget = 100'000'000);
 
 }  // namespace bcsim::ref

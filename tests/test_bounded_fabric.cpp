@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "ref/chaos.hpp"
 #include "ref/diff.hpp"
 #include "sim/invariants.hpp"
 #include "test_util.hpp"
@@ -254,17 +253,17 @@ TEST(BoundedFabric, FuzzProgramsQuiesceAtDepthOne) {
 // ---------------------------------------------------------------------------
 
 TEST(BoundedFabric, ChaosCellOnBoundedMeshIsTransparentOrDiagnosed) {
-  ref::ChaosCell cell;
+  ref::Cell cell;
   cell.plan = "drop";
   cell.flavor = ref::Flavor::kRu;
   cell.fabric.network = core::NetworkKind::kMesh;
   cell.nodes = 8;
   cell.phases = 2;
   cell.fabric.buffer_depth = kDepth;
-  const ref::ChaosOutcome r = ref::run_chaos_cell(cell);
-  EXPECT_TRUE(r.verdict == ref::ChaosVerdict::kTransparent ||
-              r.verdict == ref::ChaosVerdict::kDiagnosed)
-      << ref::to_string(r.verdict) << ": " << r.detail;
+  const ref::CellResult r = ref::run_cell(cell, ref::make_oracle(cell));
+  EXPECT_TRUE(r.verdict == ref::Verdict::kTransparent ||
+              r.verdict == ref::Verdict::kDiagnosed)
+      << ref::to_string(r.verdict) << ": " << r.divergence.detail;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Chaos-layer tests: fault-plan grammar/registry, transport recovery
 // (drop/dup/delay/corrupt masked by retries), liveness watchdog
-// diagnoses (deadlock with a wait-for graph, livelock), and the
-// committed chaos corpus replay (docs/TESTING.md, "Chaos testing &
-// liveness").
+// diagnoses (deadlock with a wait-for graph, livelock), and oracle cells
+// on a faulty fabric (docs/TESTING.md, "Chaos testing & liveness"). The
+// committed corpus replays in tests/test_diff.cpp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,7 +10,7 @@
 
 #include "core/watchdog.hpp"
 #include "net/transport.hpp"
-#include "ref/chaos.hpp"
+#include "ref/diff.hpp"
 #include "sim/fault_plan.hpp"
 #include "test_util.hpp"
 
@@ -276,31 +276,53 @@ TEST(Watchdog, OffByDefaultBudgetStaysARuntimeError) {
   EXPECT_THROW(m.run(10'000), std::runtime_error);
 }
 
+// An armed watchdog only watches: the run ends at its last event, so the
+// completion tick and the digest match the unwatched run.
+TEST(Watchdog, ArmedWatchdogKeepsCompletionAndDigest) {
+  const auto run = [](Tick interval) {
+    auto cfg = small_config(4);
+    cfg.watchdog_interval = interval;
+    Machine m(cfg);
+    auto alloc = m.make_allocator();
+    const Addr counter = alloc.alloc_blocks(1);
+    const Addr spread = alloc.alloc_blocks(2);
+    for (NodeId n = 0; n < 4; ++n) {
+      m.spawn(add_and_read(m.processor(n), counter, spread, 12));
+    }
+    const Tick done = run_all(m);
+    return std::pair{done, m.stats().digest()};
+  };
+  const auto off = run(0);
+  for (const Tick interval : {Tick{64}, Tick{4096}}) {
+    const auto on = run(interval);
+    EXPECT_EQ(on.first, off.first) << "watchdog interval " << interval;
+    EXPECT_EQ(on.second, off.second) << "watchdog interval " << interval;
+  }
+}
+
 // ---- chaos cells: the transparent-or-diagnosed contract ----
 
 TEST(Chaos, DropCellIsTransparent) {
-  ref::ChaosCell cell;
+  ref::Cell cell;
   cell.plan = "drop";
   cell.fault_seed = 4;
-  cell.flavor = ref::Flavor::kRu;
   cell.nodes = 4;
   cell.phases = 2;
-  const auto out = ref::run_chaos_cell(cell);
-  EXPECT_EQ(out.verdict, ref::ChaosVerdict::kTransparent) << out.detail;
+  const auto out = ref::run_cell(cell, ref::make_oracle(cell));
+  EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << out.divergence.detail;
 }
 
 TEST(Chaos, NoRetryCellIsDiagnosedNeverHung) {
   // Heavy loss with recovery disabled on the paper machine: the run cannot
   // succeed, but it must end in a watchdog/invariant diagnosis — the
   // "never hung" half of the chaos contract.
-  ref::ChaosCell cell;
+  ref::Cell cell;
   cell.plan = "drop:p=0.2;retry:off";
   cell.fault_seed = 1;
-  cell.flavor = ref::Flavor::kRu;
   cell.nodes = 4;
   cell.phases = 2;
-  const auto out = ref::run_chaos_cell(cell);
-  EXPECT_EQ(out.verdict, ref::ChaosVerdict::kDiagnosed) << out.detail;
+  const auto out = ref::run_cell(cell, ref::make_oracle(cell));
+  EXPECT_EQ(out.verdict, ref::Verdict::kDiagnosed) << out.divergence.detail;
 }
 
 TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
@@ -308,56 +330,23 @@ TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
   // classify the completed-but-divergent run as wrong. Same grid shape as
   // Diff.CatchesTheEagerFlushFault: the mesh's distance-dependent paths
   // are what let the un-flushed write lose the race.
-  ref::ChaosCell cell;
+  ref::Cell cell;
   cell.plan = "eager-flush";
-  cell.flavor = ref::Flavor::kRu;
   cell.fabric.network = core::NetworkKind::kMesh;
   cell.nodes = 16;
-  cell.phases = 3;
+  cell.watchdog = 4096;
   bool caught = false;
   for (std::uint64_t seed = 0; seed < 4 && !caught; ++seed) {
+    cell.program_seed = seed;
+    const ref::Oracle oracle = ref::make_oracle(cell);
     for (std::uint64_t ss = 0; ss < 2 && !caught; ++ss) {
-      cell.program_seed = seed;
       cell.schedule_seed = ss;
-      const auto out = ref::run_chaos_cell(cell);
-      ASSERT_NE(out.verdict, ref::ChaosVerdict::kHung) << out.detail;
-      caught = out.verdict == ref::ChaosVerdict::kWrong;
+      const auto out = ref::run_cell(cell, oracle);
+      ASSERT_NE(out.verdict, ref::Verdict::kHung) << out.divergence.detail;
+      caught = out.verdict == ref::Verdict::kWrong;
     }
   }
   EXPECT_TRUE(caught) << "eager-flush leaked through every probe cell";
-}
-
-// ---- corpus ----
-
-TEST(ChaosCorpus, LineFormatRoundTrips) {
-  ref::ChaosCorpusEntry e;
-  e.cell.plan = "drop:p=0.1;seed=0";
-  e.cell.fault_seed = 12;
-  e.cell.flavor = ref::Flavor::kCbl;
-  e.cell.fabric.network = core::NetworkKind::kMesh;
-  e.cell.program_seed = 34;
-  e.cell.schedule_seed = 5;
-  e.cell.nodes = 8;
-  e.cell.phases = 2;
-  e.expected = ref::ChaosVerdict::kDiagnosed;
-  const auto line = ref::format_chaos_corpus_line(e);
-  const auto back = ref::parse_chaos_corpus_line(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(ref::format_chaos_corpus_line(*back), line);
-  EXPECT_FALSE(ref::parse_chaos_corpus_line("# comment").has_value());
-  EXPECT_FALSE(ref::parse_chaos_corpus_line("   ").has_value());
-  EXPECT_THROW((void)ref::parse_chaos_corpus_line("drop 1 2 3"), std::invalid_argument);
-}
-
-TEST(ChaosCorpus, ReplayMatchesRecordedVerdicts) {
-  const auto corpus = ref::load_chaos_corpus(BCSIM_CHAOS_CORPUS);
-  ASSERT_FALSE(corpus.empty());
-  for (const auto& e : corpus) {
-    const auto out = ref::run_chaos_cell(e.cell);
-    EXPECT_EQ(out.verdict, e.expected)
-        << ref::format_chaos_corpus_line(e) << " -> " << ref::to_string(out.verdict)
-        << ": " << out.detail;
-  }
 }
 
 }  // namespace

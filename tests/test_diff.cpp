@@ -2,15 +2,17 @@
 // the DRF generator's structural guarantees, the golden SC reference
 // machine's schedule-independence, clean diff cells on every flavor, the
 // oracle's ability to catch both a tampered result and a deliberately
-// injected write-buffer bug, and a replay of tests/diff_corpus.txt — every
-// divergence `bcsim diff` ever recorded stays fixed forever.
+// injected write-buffer bug, and a replay of tests/corpus.txt — every cell
+// `bcsim diff` or `bcsim chaos` ever recorded keeps its verdict forever.
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "conf/options.hpp"
 #include "ref/diff.hpp"
 #include "ref/drf_program.hpp"
 #include "ref/machine_runner.hpp"
@@ -239,121 +241,132 @@ TEST(Diff, MeshGridIsCleanWithoutTheFault) {
 }
 
 // ---------------------------------------------------------------------------
-// Corpus replay: every cell `bcsim diff` ever flagged stays fixed.
+// The corpus: `<verdict> <replay command>` lines, read by the CLI's parser.
 // ---------------------------------------------------------------------------
 
-struct CorpusCase {
-  ref::Flavor flavor = ref::Flavor::kWbi;
-  std::uint64_t program_seed = 0;
-  std::uint64_t schedule_seed = 0;
-  std::uint32_t nodes = 8;
-  std::uint32_t phases = 3;
-  core::NetworkKind network = core::NetworkKind::kOmega;
-  core::WbFault fault = core::WbFault::kNone;  ///< recorded, replayed fault-free
-  std::string line;
-};
-
-/// Parses the corpus. A malformed line is a parse *error*, not a skip —
-/// a typo must fail the replay test loudly instead of silently dropping
-/// the pinned scenario. The optional trailing [fault] column records what
-/// was injected when the cell was caught; replays run fault-free (the
-/// corpus pins the scenario, not the misbehavior).
-std::vector<CorpusCase> load_corpus(const std::string& path,
-                                    std::vector<std::string>& errors) {
-  std::vector<CorpusCase> cases;
-  std::ifstream in(path);
-  if (!in.good()) {
-    errors.push_back("cannot open corpus " + path);
-    return cases;
+TEST(Corpus, EveryEntryReplaysToItsVerdict) {
+  const auto corpus = conf::load_corpus(BCSIM_CORPUS);
+  ASSERT_FALSE(corpus.empty());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const conf::CorpusEntry& e = corpus[i];
+    std::visit(
+        [&](const auto& o) {
+          (void)conf::for_each_cell(o, [&](const ref::Cell& c) {
+            const auto r = ref::run_cell(c, ref::make_oracle(c), o.budget);
+            EXPECT_EQ(r.verdict, e.verdict)
+                << "corpus entry " << i << " (" << ref::to_string(c.flavor) << " program "
+                << c.program_seed << " schedule " << c.schedule_seed << " plan '" << c.plan
+                << "') -> " << ref::to_string(r.verdict) << ": " << r.divergence.detail;
+            return true;
+          });
+        },
+        e.options);
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string flavor, network;
-    CorpusCase c;
-    is >> flavor >> c.program_seed >> c.schedule_seed >> c.nodes >> c.phases >> network;
-    if (is.fail()) {
-      errors.push_back("malformed corpus line: " + line);
-      continue;
-    }
-    const auto f = ref::parse_flavor(flavor);
-    if (!f) {
-      errors.push_back("bad flavor '" + flavor + "' in corpus line: " + line);
-      continue;
-    }
-    c.flavor = *f;
-    if (network == "omega") c.network = core::NetworkKind::kOmega;
-    else if (network == "mesh") c.network = core::NetworkKind::kMesh;
-    else if (network == "crossbar") c.network = core::NetworkKind::kCrossbar;
-    else if (network == "ideal") c.network = core::NetworkKind::kIdeal;
-    else {
-      errors.push_back("bad network '" + network + "' in corpus line: " + line);
-      continue;
-    }
-    std::string fault;
-    if (is >> fault) {
-      if (fault == "eager-flush") c.fault = core::WbFault::kEagerFlush;
-      else if (fault == "empty-gate") c.fault = core::WbFault::kEmptyGate;
-      else {
-        errors.push_back("bad fault '" + fault + "' in corpus line: " + line);
-        continue;
-      }
-      std::string extra;
-      if (is >> extra) {
-        errors.push_back("trailing garbage '" + extra + "' in corpus line: " + line);
-        continue;
-      }
-    }
-    if (c.nodes == 0 || c.phases == 0) {
-      errors.push_back("zero nodes/phases in corpus line: " + line);
-      continue;
-    }
-    c.line = line;
-    cases.push_back(std::move(c));
-  }
-  return cases;
 }
 
-TEST(DiffCorpus, ParserRejectsMalformedLines) {
-  const auto parse_one = [](const std::string& text) {
-    const std::string path = ::testing::TempDir() + "/corpus_case.txt";
-    std::ofstream(path) << text << '\n';
-    std::vector<std::string> errors;
-    (void)load_corpus(path, errors);
-    return errors;
+TEST(Corpus, ParserRejectsMalformedLines) {
+  const std::string path = ::testing::TempDir() + "/corpus_case.txt";
+  // The error text, or "" when the line loads.
+  const auto load = [&](const std::string& line) -> std::string {
+    std::ofstream(path) << "# header\n" << line << '\n';
+    try {
+      (void)conf::load_corpus(path);
+      return "";
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
   };
-  EXPECT_TRUE(parse_one("cbl 3 0 16 3 mesh").empty());
-  EXPECT_TRUE(parse_one("ru 1 2 8 3 omega eager-flush").empty());
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3").empty()) << "missing network";
-  EXPECT_FALSE(parse_one("sc 3 0 16 3 mesh").empty()) << "unknown flavor";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 toroid").empty()) << "unknown network";
-  EXPECT_FALSE(parse_one("cbl x 0 16 3 mesh").empty()) << "non-numeric seed";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 mesh lazy-flush").empty()) << "unknown fault";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 mesh eager-flush junk").empty())
-      << "trailing garbage";
-  EXPECT_FALSE(parse_one("cbl 3 0 0 3 mesh").empty()) << "zero nodes";
+  EXPECT_EQ(load("transparent bcsim diff --flavors cbl --first-program 3 --network mesh"), "");
+  EXPECT_EQ(load("wrong bcsim diff --flavors ru --inject-fault eager-flush --dir-limit 2"), "");
+  EXPECT_EQ(load("diagnosed bcsim chaos --plans drop-noretry --networks omega"), "");
+  for (const char* bad : {
+           "transparent bcsim diff --flavors",                        // missing value
+           "transparent bcsim",                                       // missing command
+           "transparent bcsim diff --flavors sc",                     // unknown flavor
+           "transparent bcsim diff --network toroid",                 // unknown network
+           "transparent bcsim diff --inject-fault lazy-flush",        // unknown fault
+           "transparent bcsim chaos --plans lazy-flush",              // unknown fault
+           "transparent bcsim diff --first-program x",                // non-numeric seed
+           "transparent bcsim diff --inject-fault eager-flush junk",  // trailing junk
+           "transparent bcsim diff --nodes 0",                        // zero nodes
+           "fixed bcsim diff --nodes 16",                             // unknown verdict
+           "transparent bcsim model --seeds 1",                       // not an oracle cell
+           "transparent bcsim diff --config base.conf",               // not self-contained
+       }) {
+    EXPECT_EQ(load(bad).rfind(path + ":2: ", 0), 0u) << bad << " -> '" << load(bad) << "'";
+  }
 }
 
-TEST(DiffCorpus, EveryRecordedDivergenceStaysFixed) {
-  std::vector<std::string> errors;
-  const auto cases = load_corpus(BCSIM_DIFF_CORPUS, errors);
-  for (const std::string& e : errors) ADD_FAILURE() << e;
-  ASSERT_TRUE(errors.empty()) << "corpus has malformed lines; fix them first";
-  ASSERT_FALSE(cases.empty());
-  for (const CorpusCase& c : cases) {
-    ref::DrfGenConfig gen;
-    gen.n_nodes = c.nodes;
-    gen.phases = c.phases;
-    const DrfProgram prog = ref::generate_drf_program(c.program_seed, gen);
-    const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-    core::MachineConfig cfg =
-        ref::flavor_config(c.flavor, c.nodes, c.schedule_seed);
-    cfg.network = c.network;
-    const ref::Divergence d =
-        ref::diff_one(prog, ref_run, c.flavor, c.schedule_seed, &cfg);
-    EXPECT_FALSE(d.found()) << "corpus regression [" << c.line << "]: " << d.detail;
-  }
+/// Reads a corpus line back: it must carry `verdict` and sweep exactly
+/// `cell`. Returns the options it read.
+template <typename Options>
+Options read_back(const std::string& line, ref::Verdict verdict, const ref::Cell& cell) {
+  const auto e = conf::parse_corpus_line(line);
+  EXPECT_TRUE(e.has_value()) << line;
+  if (!e) return {};
+  EXPECT_EQ(e->verdict, verdict) << line;
+  const Options o = std::get<Options>(e->options);
+  std::vector<ref::Cell> cells;
+  (void)conf::for_each_cell(o, [&](const ref::Cell& c) {
+    cells.push_back(c);
+    return true;
+  });
+  EXPECT_TRUE(cells == std::vector<ref::Cell>{cell}) << line;
+  return o;
+}
+
+// A corpus line is the verdict plus the replay line, so it names the
+// failing cell's whole machine: here the limited-pointer directory.
+TEST(Corpus, FailingDiffCellReadsBackWithItsDirectory) {
+  const conf::CommandLine cl = conf::parse_command_line(
+      "diff", {"--flavors", "ru", "--programs", "4", "--schedules", "2", "--nodes", "16",
+               "--network", "mesh", "--dir-limit", "2", "--dir-overflow", "coarse",
+               "--inject-fault", "eager-flush"});
+  const conf::DiffOptions o = conf::read_diff(cl.table);
+  std::optional<ref::Cell> failing;
+  ref::Verdict verdict = ref::Verdict::kTransparent;
+  (void)conf::for_each_cell(o, [&](const ref::Cell& c) {
+    verdict = ref::run_cell(c, ref::make_oracle(c), o.budget).verdict;
+    if (verdict != ref::Verdict::kTransparent) failing = c;
+    return !failing;
+  });
+  ASSERT_TRUE(failing) << "eager-flush escaped the grid";
+  const std::string line =
+      std::string(ref::to_string(verdict)) + " " + conf::Replay("diff", cl.table).line(*failing);
+  EXPECT_NE(line.find("--dir-limit 2 --dir-overflow coarse"), std::string::npos) << line;
+
+  conf::DiffOptions want = o;
+  want.flavors = {failing->flavor};
+  want.programs = 1;
+  want.first_program = failing->program_seed;
+  want.schedules = 1;
+  want.first_schedule = failing->schedule_seed;
+  EXPECT_TRUE(read_back<conf::DiffOptions>(line, verdict, *failing) == want) << line;
+}
+
+TEST(Corpus, ChaosCellReadsBackWithItsBufferDepth) {
+  const conf::CommandLine cl = conf::parse_command_line(
+      "chaos", {"--plans", "drop", "--seeds", "2", "--programs", "1", "--nodes", "8",
+                "--buffer-depth", "1"});
+  const conf::ChaosOptions o = conf::read_chaos(cl.table);
+  std::optional<ref::Cell> cell;
+  (void)conf::for_each_cell(o, [&](const ref::Cell& c) {
+    if (c.fabric.network == core::NetworkKind::kMesh && c.schedule_seed == 1) cell = c;
+    return !cell;
+  });
+  ASSERT_TRUE(cell);
+  const ref::Verdict verdict = ref::run_cell(*cell, ref::make_oracle(*cell), o.budget).verdict;
+  const std::string line =
+      std::string(ref::to_string(verdict)) + " " + conf::Replay("chaos", cl.table).line(*cell);
+  EXPECT_NE(line.find("--buffer-depth 1"), std::string::npos) << line;
+
+  conf::ChaosOptions want = o;
+  want.plans = {cell->plan};
+  want.flavors = {cell->flavor};
+  want.networks = {cell->fabric.network};
+  want.seeds = 1;
+  want.first_seed = cell->schedule_seed;
+  EXPECT_TRUE(read_back<conf::ChaosOptions>(line, verdict, *cell) == want) << line;
 }
 
 }  // namespace

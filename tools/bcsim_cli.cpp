@@ -106,8 +106,9 @@
 // The differential oracle: sweeps randomized data-race-free programs over
 // a (program_seed x schedule_seed) grid, comparing each machine flavor
 // against the golden sequentially-consistent reference interpreter. The
-// first divergence is reported with node/op/var/addr/block/tick, replayed
-// with event tracing, and appended to --corpus. --inject-fault
+// first cell that is not transparent is reported with
+// node/op/var/addr/block/tick, replayed with event tracing, and appended
+// to --corpus as `<verdict> <replay command>`. --inject-fault
 // {eager-flush, empty-gate} deliberately breaks the write-buffer flush
 // gate to prove the oracle catches it. Exit 1 on divergence. See
 // docs/TESTING.md, "Differential testing".
@@ -140,8 +141,10 @@
 // *transparent* (bit-identical to the SC reference — retries masked every
 // fault), *diagnosed* (terminated with a watchdog/invariant report), or
 // *wrong*/*hung* — which fail the sweep, print a replay line, and are
-// appended to --corpus. Exit 1 on any wrong/hung cell. See
-// docs/TESTING.md, "Chaos testing & liveness".
+// appended to --corpus (the first also replays with event tracing). Exit
+// 1 on any wrong/hung cell. diff and chaos are two presets of one sweep
+// over the same oracle cell (tools/bcsim_sweep.cpp). See docs/TESTING.md,
+// "Chaos testing & liveness".
 //
 // Every sweep prints its replay line from the same option table: the
 // failing cell plus every option whose value differs from its default. A

@@ -35,16 +35,18 @@ int run_bench(const conf::BenchOptions& o);
 // `bcsim diff` — the differential-oracle driver (docs/TESTING.md,
 // "Differential testing").
 //
-// Sweeps a (program_seed x schedule_seed) grid: each program seed yields a
+// Sweeps a (program_seed x schedule_seed x flavor) grid of oracle cells
+// (ref::Cell, lowered by conf::for_each_cell): each program seed yields a
 // randomized data-race-free program (ref/drf_program.hpp), executed once on
-// the golden sequentially-consistent reference machine and once per flavor
-// x schedule seed on the full simulator. Any departure — an observed read
-// returning a non-SC value, a final-memory or semaphore-count mismatch, a
-// stuck machine — is a first-divergence report naming node, op, variable,
-// address, block, and tick. The failing case is then replayed with event
-// tracing on, and its seeds are appended to the regression corpus so the
-// test suite replays it forever after. 0 when every cell matched, 1 on the
-// first divergence.
+// the golden sequentially-consistent reference machine and once per cell on
+// the full simulator, with --inject-fault armed. A cell passes only when
+// transparent. The first other cell — an observed read returning a non-SC
+// value, a final-memory or semaphore-count mismatch, a stuck machine — is a
+// first-divergence report naming node, op, variable, address, block, and
+// tick; it is then replayed with event tracing on and appended to the
+// regression corpus as `<verdict> <replay command>`, so the test suite
+// replays it forever after. 0 when every cell matched, 1 on the first
+// failure.
 int run_diff(const conf::DiffOptions& o, const conf::Replay& replay);
 
 // `bcsim model` — the model-conformance driver (docs/TESTING.md,
@@ -70,16 +72,15 @@ int run_model(const conf::ModelOptions& o, const conf::Replay& replay);
 // `bcsim chaos` — the unreliable-fabric sweep driver (docs/TESTING.md,
 // "Chaos testing & liveness").
 //
-// Sweeps fault plans (sim/fault_plan.hpp registry names or inline specs)
-// across flavors, networks, fault seeds, and program seeds, running each
-// cell through ref::run_chaos_cell with the liveness watchdog armed. The
-// contract enforced on every cell: the run either completes bit-identical
-// to the SC reference (the faults were masked by seq/dedup/retry), or it
-// terminates with a watchdog/invariant diagnosis. A cell that completes
-// but diverges ("wrong") or dies without a diagnosis ("hung") fails the
-// sweep — both mean a protocol hole, never an acceptable outcome. 0 when
-// every cell was transparent or diagnosed, 1 on any wrong/hung cell (after
-// printing a replay line and recording it in --corpus).
+// The same sweep as diff over another grid: fault plans (sim/fault_plan.hpp
+// registry names or inline specs) x networks x flavors x fault seeds x
+// program seeds, each fault seed doubling as the schedule seed and the
+// liveness watchdog armed. A cell passes when transparent (faults masked by
+// seq/dedup/retry) or diagnosed (a watchdog/invariant report). A wrong or
+// hung cell means a protocol hole: it is reported like a diff failure (the
+// first one replayed with tracing) and appended to --corpus, and the sweep
+// goes on, printing a verdict tally per plan. 0 when every cell passed, 1
+// otherwise.
 int run_chaos(const conf::ChaosOptions& o, const conf::Replay& replay);
 
 }  // namespace bcsim::tool
