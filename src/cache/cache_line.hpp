@@ -79,11 +79,11 @@ struct CacheLine {
   }
 };
 
-// 1024 frames (Table 4's cache) x 120 B stays under glibc's default 128 KiB
-// mmap threshold, so a cache's frame vector comes from the heap instead of a
-// fresh mapping that is page-faulted in and unmapped per machine — which
-// dominated set-up of grids of small machines. 104 B with the 4-word inline
-// payload.
-static_assert(sizeof(CacheLine) <= 120, "CacheLine grew: 1024 frames must stay under 128 KiB");
+// A cache allocates its frames a set at a time, on the set's first fill,
+// so a run's cache memory is assoc x sizeof(CacheLine) per set it touches:
+// 416 B per 4-way set at 104 B a line. This bound keeps that budget; it
+// fails, for example, if the payload goes back to 32 inline words (320 B a
+// line), which would triple the frame memory of every run.
+static_assert(sizeof(CacheLine) <= 120, "CacheLine grew: every touched set pays assoc x its size");
 
 }  // namespace bcsim::cache

@@ -111,6 +111,7 @@ struct MachineConfig {
   std::uint32_t n_nodes = 16;
 
   // Cache geometry (Table 4: block size 4 words, cache size 1024 blocks).
+  // The set count cache_blocks / cache_assoc must be a power of two.
   std::uint32_t block_words = 4;
   std::uint32_t cache_blocks = 1024;
   std::uint32_t cache_assoc = 4;
@@ -207,6 +208,9 @@ struct MachineConfig {
     }
     if (cache_assoc == 0 || cache_blocks == 0 || cache_blocks % cache_assoc != 0) {
       throw std::invalid_argument("config: cache_blocks must be a positive multiple of assoc");
+    }
+    if (const std::uint32_t sets = cache_blocks / cache_assoc; (sets & (sets - 1)) != 0) {
+      throw std::invalid_argument("config: cache_blocks / cache_assoc must be a power of two");
     }
     if (lock_cache_entries == 0) {
       throw std::invalid_argument("config: lock_cache_entries must be >= 1");

@@ -1,16 +1,16 @@
 // One node's slice of the distributed main memory: data storage + timing.
 //
 // Storage is sparse (only touched blocks exist; untouched words read as 0,
-// like zero-initialized memory). Timing follows the paper's model: a
-// directory lookup costs t_D and a data access costs t_m (Table 4: main
-// memory cycle time = 4 cache cycles). The module is a single-ported
-// resource: overlapping requests serialize, and busy_until() exposes the
-// queue so the directory controller charges honest latencies.
+// like zero-initialized memory). A resident block is a net::BlockData, so
+// the paper's 4-word blocks live in the map node itself. Timing follows
+// the paper's model: a directory lookup costs t_D and a data access costs
+// t_m (Table 4: main memory cycle time = 4 cache cycles). The module is a
+// single-ported resource: overlapping requests serialize, and busy_until()
+// exposes the queue so the directory controller charges honest latencies.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "net/message.hpp"
 #include "sim/types.hpp"
@@ -28,11 +28,9 @@ class MemoryModule {
 
   /// Reads a whole block into a message payload.
   [[nodiscard]] net::BlockData read_block(BlockId b) const {
+    if (auto it = blocks_.find(b); it != blocks_.end()) return it->second;
     net::BlockData out;
     out.count = static_cast<std::uint8_t>(block_words_);
-    if (auto it = blocks_.find(b); it != blocks_.end()) {
-      for (std::uint32_t i = 0; i < block_words_; ++i) out[i] = it->second[i];
-    }
     return out;
   }
 
@@ -82,9 +80,9 @@ class MemoryModule {
   }
 
  private:
-  std::vector<Word>& storage_of(BlockId b) {
+  net::BlockData& storage_of(BlockId b) {
     auto [it, inserted] = blocks_.try_emplace(b);
-    if (inserted) it->second.assign(block_words_, 0);
+    if (inserted) it->second.count = static_cast<std::uint8_t>(block_words_);
     return it->second;
   }
 
@@ -92,7 +90,7 @@ class MemoryModule {
   Tick t_directory_;
   Tick t_memory_;
   Tick busy_until_ = 0;
-  std::unordered_map<BlockId, std::vector<Word>> blocks_;
+  std::unordered_map<BlockId, net::BlockData> blocks_;
 };
 
 }  // namespace bcsim::mem

@@ -1,6 +1,8 @@
 // Cache structure tests: set-associative cache, write buffer, lock cache.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hpp"
 #include "cache/lock_cache.hpp"
 #include "cache/write_buffer.hpp"
@@ -70,6 +72,75 @@ TEST(Cache, BadGeometryThrows) {
   EXPECT_THROW(Cache(10, 4), std::invalid_argument);
   EXPECT_THROW(Cache(0, 1), std::invalid_argument);
   EXPECT_THROW(Cache(4, 0), std::invalid_argument);
+  EXPECT_THROW(Cache(12, 4), std::invalid_argument) << "3 sets: not a power of two";
+  EXPECT_NO_THROW(Cache(1, 1));
+}
+
+// --- lazily allocated sets ---
+
+/// Installs `b` in its set the way CacheController::install_line does.
+CacheLine* fill(Cache& c, BlockId b, Tick now) {
+  CacheLine* v = c.pick_victim(b);
+  if (v == nullptr) return nullptr;
+  v->clear();
+  v->block = b;
+  v->valid = true;
+  v->last_use = now;
+  return v;
+}
+
+TEST(CacheLazySets, FreshCacheMissesOnEverySet) {
+  Cache c(1024, 4);
+  for (BlockId b = 0; b < 2 * c.n_sets(); ++b) EXPECT_EQ(c.find(b), nullptr) << "block " << b;
+  int visited = 0;
+  c.for_each_valid([&](const CacheLine&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+}
+
+TEST(CacheLazySets, ForEachValidVisitsOnlyFilledSets) {
+  Cache c(64, 4);  // 16 sets
+  const BlockId last = c.n_sets() - 1;
+  const CacheLine* a = fill(c, 0, 1);
+  const CacheLine* b = fill(c, c.n_sets(), 2);  // set 0, second way
+  const CacheLine* z = fill(c, last, 3);
+  std::vector<const CacheLine*> seen;
+  c.for_each_valid([&](const CacheLine& l) { seen.push_back(&l); });
+  EXPECT_EQ(seen, (std::vector<const CacheLine*>{a, b, z})) << "set-major order";
+}
+
+TEST(CacheLazySets, NewSetHandsOutWaysInOrder) {
+  Cache c(32, 4);  // 8 sets
+  std::vector<CacheLine*> ways;
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    // Later fills carry older timestamps: LRU would pick the newest way
+    // first if it were consulted before every invalid way was used.
+    CacheLine* v = fill(c, 3 + k * c.n_sets(), 100 - k);
+    ASSERT_NE(v, nullptr);
+    ways.push_back(v);
+  }
+  for (std::uint32_t k = 1; k < 4; ++k) EXPECT_EQ(ways[k], ways[0] + k) << "way " << k;
+  EXPECT_EQ(c.pick_victim(3 + 4 * c.n_sets()), ways[3]) << "full set: LRU picks the oldest";
+}
+
+TEST(CacheLazySets, AllocatedSetOfUnreplaceableFramesHasNoVictim) {
+  Cache c(16, 2);  // 8 sets
+  for (std::uint32_t k = 0; k < 2; ++k) fill(c, 5 + k * c.n_sets(), k);
+  c.find(5)->pinned = true;
+  c.find(5 + c.n_sets())->lock = LockState::kWaitRead;
+  EXPECT_EQ(c.pick_victim(5 + 2 * c.n_sets()), nullptr);
+  EXPECT_NE(c.pick_victim(6), nullptr) << "other sets are unaffected";
+}
+
+TEST(CacheLazySets, ReinstallAfterClearFindsTheNewFrame) {
+  Cache c(16, 4);  // 4 sets
+  CacheLine* first = fill(c, 2, 1);
+  fill(c, 6, 2);
+  first->clear();
+  EXPECT_EQ(c.find(2), nullptr);
+  CacheLine* again = fill(c, 2, 3);
+  EXPECT_EQ(again, first) << "the cleared way is the first invalid one";
+  EXPECT_EQ(c.find(2), again);
+  EXPECT_EQ(c.find(6)->block, 6u);
 }
 
 TEST(CacheLine, ClearResetsEverything) {

@@ -34,6 +34,10 @@ TEST(Config, ValidationCatchesNonsense) {
   cfg.cache_assoc = 4;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = MachineConfig{};
+  cfg.cache_blocks = 12;  // 3 sets of 4: not a power of two
+  cfg.cache_assoc = 4;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = MachineConfig{};
   cfg.consistency = core::Consistency::kBuffered;  // on WBI: rejected
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = MachineConfig{};

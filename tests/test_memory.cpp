@@ -2,6 +2,9 @@
 // (the paper's false-sharing fix at the memory side).
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "mem/address.hpp"
 #include "mem/memory_module.hpp"
 
@@ -73,6 +76,41 @@ TEST(MemoryModule, FullMaskWritebackOf32WordBlockStoresEveryWord) {
   const auto back = mm.read_block(2);
   EXPECT_EQ(back.count, 32u);
   EXPECT_EQ(back[31], 1031u);
+}
+
+TEST(MemoryModule, WordPastTheInlinePayloadOf32WordBlockReadsBack) {
+  MemoryModule mm(32, 1, 4);
+  mm.write_word(9, 31, 0xBEEF);
+  EXPECT_EQ(mm.read_word(9, 31), 0xBEEFu);
+  EXPECT_EQ(mm.read_word(9, 0), 0u);
+  const auto back = mm.read_block(9);
+  EXPECT_EQ(back.count, 32u);
+  EXPECT_EQ(back[31], 0xBEEFu);
+  for (std::size_t i = 0; i < 31; ++i) EXPECT_EQ(back[i], 0u) << "word " << i;
+}
+
+TEST(MemoryModule, MaskedWritebackOf32WordBlockMergesOnlyMaskedWords) {
+  MemoryModule mm(32, 1, 4);
+  mm.write_word(3, 1, 11);
+  mm.write_word(3, 20, 22);
+  net::BlockData d;
+  d.count = 32;
+  for (std::size_t i = 0; i < 32; ++i) d[i] = 500 + i;
+  mm.write_block_masked(3, d, (1u << 2) | (1u << 30));
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    const Word want = i == 1 ? 11 : i == 20 ? 22 : (i == 2 || i == 30) ? 500 + i : 0;
+    EXPECT_EQ(mm.read_word(3, i), want) << "word " << i;
+  }
+}
+
+TEST(MemoryModule, ForEachWordVisitsTheWrittenWord) {
+  MemoryModule mm(32, 1, 4);
+  mm.write_word(4, 31, 77);
+  mm.write_word(6, 0, 0);  // resident but zero: not visited
+  std::vector<std::tuple<BlockId, std::uint32_t, Word>> seen;
+  mm.for_each_word([&](BlockId b, std::uint32_t w, Word v) { seen.emplace_back(b, w, v); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], std::make_tuple(BlockId{4}, 31u, Word{77}));
 }
 
 TEST(MemoryModule, EmptyMaskWritesNothing) {
