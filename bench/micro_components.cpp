@@ -33,9 +33,9 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePushPop);
 
 void BM_EventQueueSameTickBurst(benchmark::State& state) {
-  // Many events on one tick: the bucketed queue's best case (one tick-heap
-  // operation for the whole burst) and the old heap's worst (log n sifts of
-  // fat items through a same-priority plateau).
+  // Many events on one tick: one wheel slot's list takes the whole burst
+  // (one occupancy-bit update and no search between its events), where a
+  // single heap of events would sift through a same-priority plateau.
   sim::EventQueue q;
   std::uint64_t sink = 0;
   for (auto _ : state) {

@@ -2,6 +2,10 @@
 
 namespace bcsim::sim {
 
+// Both loops peek with next_tick() before they pop(). next_tick() moves the
+// queue's window onto the earliest event, so the pop() that follows takes
+// it without searching again: one wheel search per event.
+
 RunResult Simulator::run(Tick max_cycles) {
   stop_requested_ = false;
   const Tick deadline = (max_cycles == kNever) ? kNever : saturating_add(now_, max_cycles);

@@ -1,19 +1,25 @@
-// Pins the event queue's observable behavior to the original representation.
+// Pins the event queue's observable behavior to one heap over every event.
 //
-// The kernel's EventQueue was rewritten from a single binary heap of
-// std::function events to a bucketed calendar queue with a small-buffer
-// callable (sim/event_queue.hpp). The rewrite is only legal if it is
-// *bit-identical*: every (tick, key, seq) total order the old heap produced,
-// the new queue must reproduce exactly, under every schedule seed, including
-// events pushed while their tick is being drained. ReferenceEventQueue below
-// is a line-for-line copy of the pre-rewrite implementation, kept as the
-// oracle; the tests drive both with identical operation scripts and demand
-// identical firing orders.
+// The kernel's EventQueue (sim/event_queue.hpp) is a timing wheel over a
+// pooled node array, with an overflow heap for ticks outside its window.
+// It is only correct if it is *bit-identical* to the plainest queue there
+// is: every (tick, key, seq) total order a single binary heap produces,
+// the wheel must reproduce exactly, under every schedule seed, including
+// events pushed while their tick is being drained, events far enough ahead
+// to wait in the overflow heap, pushes behind the current tick, and queues
+// that were drained or cleared far into simulated time. ReferenceEventQueue
+// below is that heap (the kernel's original queue, copied verbatim), kept
+// as the oracle; the tests drive both with identical operation scripts and
+// demand identical firing orders. A last test bounds what the queue
+// allocates over a long life, counted by this binary's operator new.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +29,23 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workload/work_queue_model.hpp"
+
+namespace {
+std::size_t g_allocated_bytes = 0;
+}  // namespace
+
+// Counts the bytes of every heap allocation of this test binary, so a test
+// can bound what a code path allocates over its life. All three stay out of
+// line: inlined into a container, GCC 12 pairs the malloc() or free() in
+// their bodies with the container's new or delete and warns of a mismatch
+// that is not one.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocated_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace bcsim::sim {
 namespace {
@@ -117,6 +140,40 @@ std::vector<Op> make_script(std::uint64_t rng_seed, int n_ops) {
       ops.push_back({Op::kPop});
       --pending;
       if (rng.chance(0.25)) ++now;  // time advances between some drains
+    }
+  }
+  for (; pending > 0; --pending) ops.push_back({Op::kPop});
+  return ops;
+}
+
+/// Deterministic op script over a span of ticks much wider than the
+/// wheel's window: pushes land up to `span` ticks ahead of a moving `now`,
+/// on a coarse grid of ticks so a far tick is pushed again once the window
+/// has reached it (migrated and direct events then share a slot), and with
+/// probability `past` behind `now`, where the queue may already have
+/// drained. `base` offsets every tick.
+std::vector<Op> make_wide_script(std::uint64_t rng_seed, int n_ops, Tick span, double past,
+                                 Tick base = 0) {
+  Rng rng(rng_seed);
+  std::vector<Op> ops;
+  Tick now = 0;
+  int pending = 0;
+  for (int i = 0; i < n_ops; ++i) {
+    const std::uint64_t dice = rng.next_below(10);
+    if (dice < 6 || pending == 0) {
+      Tick at = now + rng.next_below(span);
+      at -= at % 61;  // a coarse grid: many pushes share each tick
+      if (now > 0 && rng.chance(past)) at = now - 1 - rng.next_below(std::min<Tick>(now, 300));
+      if (rng.chance(0.3)) {
+        ops.push_back({Op::kPushChannel, base + at, rng.next_below(5)});
+      } else {
+        ops.push_back({Op::kPush, base + at, 0});
+      }
+      ++pending;
+    } else {
+      ops.push_back({Op::kPop});
+      --pending;
+      if (rng.chance(0.3)) now += rng.next_below(400);
     }
   }
   for (; pending > 0; --pending) ops.push_back({Op::kPop});
@@ -282,6 +339,120 @@ TEST(EventRepr, ClearKeepsScheduleSeed) {
   q.push(1, [] {});
   q.clear();
   EXPECT_EQ(q.schedule_seed(), 1234u);
+}
+
+constexpr Tick kWindow = EventQueue::kSlots;
+
+TEST(EventRepr, FarPushesMigrateIntoTheWheelInOrder) {
+  // Delays up to three windows: most events wait in the overflow heap and
+  // migrate into the wheel as it advances, some onto ticks that direct
+  // pushes reach later.
+  for (const std::uint64_t seed : kSeeds) {
+    for (const std::uint64_t script : {5ULL, 6ULL, 7ULL}) {
+      EventQueue q;
+      ReferenceEventQueue ref;
+      q.set_schedule_seed(seed);
+      ref.set_schedule_seed(seed);
+      const auto ops = make_wide_script(script, 3000, 3 * kWindow, 0.0);
+      EXPECT_EQ(run_script(q, ops), run_script(ref, ops))
+          << "schedule seed " << seed << ", script " << script;
+    }
+  }
+}
+
+TEST(EventRepr, PastPushesMixedWithFarPushesMatchReference) {
+  // Pushes behind the drained tick share the overflow heap with far
+  // events; a past event at the heap's top must not hold back the far
+  // events behind it from migrating.
+  for (const std::uint64_t seed : kSeeds) {
+    for (const std::uint64_t script : {8ULL, 9ULL, 10ULL}) {
+      EventQueue q;
+      ReferenceEventQueue ref;
+      q.set_schedule_seed(seed);
+      ref.set_schedule_seed(seed);
+      const auto ops = make_wide_script(script, 3000, 2 * kWindow, 0.15);
+      EXPECT_EQ(run_script(q, ops), run_script(ref, ops))
+          << "schedule seed " << seed << ", script " << script;
+    }
+  }
+}
+
+TEST(EventRepr, DrainedFarAheadThenLowerTicksMatchesReference) {
+  // A queue drained to tick 10^6 that then takes pushes at lower absolute
+  // ticks (the push/pop microbenchmark's pattern): the empty queue moves
+  // its window to the next push instead of treating it as the past.
+  for (const std::uint64_t seed : kSeeds) {
+    EventQueue q;
+    ReferenceEventQueue ref;
+    q.set_schedule_seed(seed);
+    ref.set_schedule_seed(seed);
+    std::vector<Op> ops = {{Op::kPush, 1'000'000, 0}, {Op::kPop}};
+    for (const std::uint64_t script : {11ULL, 12ULL}) {
+      const auto more = make_script(script, 800);
+      ops.insert(ops.end(), more.begin(), more.end());
+      const auto wide = make_wide_script(script, 800, 2 * kWindow, 0.1);
+      ops.insert(ops.end(), wide.begin(), wide.end());
+    }
+    EXPECT_EQ(run_script(q, ops), run_script(ref, ops)) << "schedule seed " << seed;
+  }
+}
+
+TEST(EventRepr, ClearFarAheadReplaysLikeAFreshQueue) {
+  // clear() at tick 10^6, with wheel and overflow events still pending,
+  // must leave a queue that replays any script exactly like a fresh one.
+  for (const std::uint64_t seed : kSeeds) {
+    const auto ops = make_wide_script(13, 2000, 3 * kWindow, 0.1);
+    EventQueue fresh;
+    ReferenceEventQueue ref;
+    fresh.set_schedule_seed(seed);
+    ref.set_schedule_seed(seed);
+    const auto want = run_script(ref, ops);
+    EXPECT_EQ(run_script(fresh, ops), want) << "schedule seed " << seed;
+
+    EventQueue recycled;
+    recycled.set_schedule_seed(seed);
+    for (Tick t = 0; t < 64; ++t) recycled.push(1'000'000 + t * 97, [] {});
+    for (int i = 0; i < 20; ++i) recycled.pop().second();
+    recycled.push(999'000, [] {});  // behind the drained tick
+    recycled.clear();
+    EXPECT_TRUE(recycled.empty());
+    EXPECT_EQ(run_script(recycled, ops), want) << "schedule seed " << seed;
+  }
+}
+
+TEST(EventRepr, RetainedMemoryIsBoundedByPeakPending) {
+  // 10^6 events, never more than 64 pending, in rounds of a 64-event
+  // burst on one tick and 64 events on distinct ticks up to ~6000 ahead
+  // (past the window, so some wait in the overflow heap). The queue's
+  // storage is sized by its peak pending count, not by the busiest tick
+  // or the number of ticks it has seen.
+  const std::size_t before = g_allocated_bytes;
+  {
+    EventQueue q;
+    Rng rng(17);
+    std::vector<Tick> offsets(64);
+    for (Tick i = 0; i < 64; ++i) offsets[i] = 1 + i * 90;
+    std::uint64_t fired = 0;
+    Tick now = 0;
+    for (int round = 0; fired < 1'000'000; ++round) {
+      // Distinct ticks are pushed in a fresh random order each time, so a
+      // queue that recycled per-tick storage would hand the next burst a
+      // different tick's storage every round.
+      for (std::size_t i = offsets.size() - 1; i > 0; --i) {
+        std::swap(offsets[i], offsets[rng.next_below(i + 1)]);
+      }
+      for (const Tick offset : offsets) {
+        const Tick at = (round % 2 == 0) ? now + 1 : now + offset + rng.next_below(90);
+        q.push(at, [&fired] { ++fired; });
+      }
+      while (!q.empty()) {
+        auto [at, fn] = q.pop();
+        now = at;
+        fn();
+      }
+    }
+  }
+  EXPECT_LT(g_allocated_bytes - before, std::size_t{128} * 1024);
 }
 
 TEST(EventRepr, MachineDigestIsRerunStable) {
