@@ -10,11 +10,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <unordered_map>
+#include <utility>
 
 #include "cache/cache_line.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::cache {
@@ -62,13 +63,15 @@ class LockCache {
   }
 
   /// Runs `fn` once an entry can be allocated (immediately if not full).
-  /// Returns true if the caller had to wait.
-  bool on_slot(std::function<void()> fn) {
+  /// Returns true if the caller had to wait. `fn` is only type-erased when
+  /// it has to wait.
+  template <typename Fn>
+  bool on_slot(Fn&& fn) {
     if (!full()) {
       fn();
       return false;
     }
-    waiters_.push_back(std::move(fn));
+    waiters_.emplace_back(std::forward<Fn>(fn));
     return true;
   }
 
@@ -89,7 +92,7 @@ class LockCache {
   std::uint32_t capacity_;
   std::list<CacheLine> lines_;  // stable addresses across insert/erase
   std::unordered_map<BlockId, std::list<CacheLine>::iterator> index_;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<sim::EventFn> waiters_;
   std::uint64_t stalls_served_ = 0;
 };
 

@@ -22,9 +22,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
+#include "sim/event_fn.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::cache {
@@ -87,22 +88,25 @@ class WriteBuffer {
   /// Runs `fn` once every write entered *before this call* has retired
   /// (immediately if they already have). Writes entered afterwards do not
   /// delay it — the paper's FLUSH-BUFFER orders a CP-Synch after the
-  /// writes that precede it, nothing more.
-  void on_drained(std::function<void()> fn) {
+  /// writes that precede it, nothing more. `fn` is only type-erased when it
+  /// has to wait.
+  template <typename Fn>
+  void on_drained(Fn&& fn) {
     if (fault_ == Fault::kEagerFlush || retired_ >= entered_) {
       fn();
     } else {
       const std::uint64_t mark = fault_ == Fault::kEmptyGate ? kEmptyMark : entered_;
-      flush_waiters_.push_back(FlushWaiter{mark, std::move(fn)});
+      flush_waiters_.push_back(FlushWaiter{mark, std::forward<Fn>(fn)});
     }
   }
 
   /// Runs `fn` once a slot is available (immediately if not full).
-  void on_slot(std::function<void()> fn) {
+  template <typename Fn>
+  void on_slot(Fn&& fn) {
     if (!full()) {
       fn();
     } else {
-      slot_waiters_.push_back(std::move(fn));
+      slot_waiters_.emplace_back(std::forward<Fn>(fn));
     }
   }
 
@@ -121,7 +125,7 @@ class WriteBuffer {
   /// drained buffer.
   struct FlushWaiter {
     std::uint64_t watermark;
-    std::function<void()> fn;
+    sim::EventFn fn;
   };
   static constexpr std::uint64_t kEmptyMark = ~std::uint64_t{0};
 
@@ -135,7 +139,7 @@ class WriteBuffer {
   std::uint64_t retired_ = 0;
   std::uint64_t next_txn_ = 1;
   std::deque<FlushWaiter> flush_waiters_;
-  std::deque<std::function<void()>> slot_waiters_;
+  std::deque<sim::EventFn> slot_waiters_;
 };
 
 }  // namespace bcsim::cache

@@ -16,9 +16,43 @@ using net::Message;
 using net::MsgType;
 using net::Unit;
 
+CacheController::Stats::Stats(sim::StatsRegistry& r)
+    : hits(r, "cache.hits"),
+      misses(r, "cache.misses"),
+      upgrades(r, "cache.upgrades"),
+      evictions(r, "cache.evictions"),
+      writebacks(r, "cache.writebacks"),
+      put_acks(r, "cache.put_acks"),
+      read_global(r, "cache.read_global"),
+      write_global(r, "cache.write_global"),
+      flush_buffer(r, "cache.flush_buffer"),
+      rmw(r, "cache.rmw"),
+      invalidated(r, "cache.invalidated"),
+      recall_crossed(r, "cache.recall_crossed"),
+      recalled(r, "cache.recalled"),
+      read_update(r, "cache.read_update"),
+      reset_update(r, "cache.reset_update"),
+      ru_updates_received(r, "cache.ru_updates_received"),
+      chain_forwards(r, "cache.chain_forwards"),
+      ru_evict_unsubscribe(r, "cache.ru_evict_unsubscribe"),
+      barrier_arrive(r, "cache.barrier_arrive"),
+      read_lock(r, "cache.read_lock"),
+      write_lock(r, "cache.write_lock"),
+      lock_line_busy_waits(r, "cache.lock_line_busy_waits"),
+      lock_cache_stalls(r, "cache.lock_cache_stalls"),
+      unlock(r, "cache.unlock"),
+      lock_granted(r, "cache.lock_granted"),
+      share_cascade(r, "cache.share_cascade"),
+      lat_read_miss(r, "lat.read_miss"),
+      lat_write_miss(r, "lat.write_miss"),
+      lat_rmw(r, "lat.rmw"),
+      lat_read_global(r, "lat.read_global"),
+      lat_read_update(r, "lat.read_update"),
+      lat_lock_acquire(r, "lat.lock_acquire") {}
+
 CacheController::CacheController(NodeId node, sim::Simulator& simulator, net::Network& network,
                                  const mem::AddressMap& amap, const MachineConfig& config,
-                                 sim::StatsRegistry& stats)
+                                 Stats& stats)
     : node_(node), sim_(simulator), net_(network), amap_(amap), config_(config), stats_(stats),
       cache_(config.cache_blocks, config.cache_assoc),
       lock_cache_(config.lock_cache_entries),
@@ -56,16 +90,12 @@ void CacheController::on_message(const net::Message& m) {
     case MsgType::kInv: on_inv(m); break;
     case MsgType::kRecall: on_recall(m); break;
     case MsgType::kPutAck:
-      stats_.counter("cache.put_acks").add();
+      stats_.put_acks.add();
       break;
     case MsgType::kWriteGlobalAck: {
       sim_.trace().wb_event(sim::TraceKind::kWbRetire, sim_.now(), node_, m.txn);
       wbuf_.retire();
-      if (auto it = write_acks_.find(m.txn); it != write_acks_.end()) {
-        Cb cb = std::move(it->second);
-        write_acks_.erase(it);
-        cb(Response{});
-      }
+      if (std::optional<Cb> cb = write_acks_.take(m.txn)) (*cb)(Response{});
       break;
     }
     case MsgType::kReadUpdateData: on_ru_data(m); break;
@@ -105,13 +135,13 @@ void CacheController::on_message(const net::Message& m) {
 // ---------------------------------------------------------------------------
 
 void CacheController::complete(Cb& cb, Word value, Tick latency) {
-  sim_.schedule(latency, [cb = std::move(cb), value] { cb(Response{value}); });
+  sim_.schedule(latency, [cb = std::move(cb), value]() mutable { cb(Response{value}); });
 }
 
 void CacheController::complete_timed(Cb& cb, Word value, Tick issued_at,
-                                     std::string_view histogram) {
-  stats_.histogram(histogram).record(sim_.now() - issued_at);
-  sim_.schedule(0, [cb = std::move(cb), value] { cb(Response{value}); });
+                                     sim::HistogramHandle& histogram) {
+  histogram.record(sim_.now() - issued_at);
+  sim_.schedule(0, [cb = std::move(cb), value]() mutable { cb(Response{value}); });
 }
 
 void CacheController::send(net::Message m) { net_.send(std::move(m)); }
@@ -148,7 +178,7 @@ cache::CacheLine& CacheController::install_line(BlockId b, const net::BlockData&
 }
 
 void CacheController::evict(cache::CacheLine& victim) {
-  stats_.counter("cache.evictions").add();
+  stats_.evictions.add();
   if (victim.msi == MsiState::kModified || victim.dirty_mask != 0) {
     // Only dirty words are written back (per-word dirty bits, Figure 2a).
     auto put = make(MsgType::kPutM, victim.block);
@@ -156,12 +186,12 @@ void CacheController::evict(cache::CacheLine& victim) {
     put.dirty_mask = victim.dirty_mask != 0 ? victim.dirty_mask
                                             : net::full_block_mask(config_.block_words);
     send(std::move(put));
-    stats_.counter("cache.writebacks").add();
+    stats_.writebacks.add();
   }
   if (victim.update_bit) {
     // Replacement cancels the read-update subscription (paper 4.1).
     send(make(MsgType::kResetUpdate, victim.block));
-    stats_.counter("cache.ru_evict_unsubscribe").add();
+    stats_.ru_evict_unsubscribe.add();
     sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kUpdateBit, node_, victim.block,
                              1, 0);
   }
@@ -175,17 +205,22 @@ void CacheController::evict(cache::CacheLine& victim) {
 
 void CacheController::fire_line_change(BlockId b) {
   auto it = change_waiters_.find(b);
-  if (it == change_waiters_.end()) return;
-  auto waiters = std::move(it->second);
-  change_waiters_.erase(it);
-  for (auto& w : waiters) w();
+  if (it == change_waiters_.end() || it->second.empty()) return;
+  // The block keeps its entry, and the entry keeps a vector with capacity,
+  // so a spinner re-registering after every change allocates nothing. The
+  // waiters fire from the spare vector: each may register again.
+  std::vector<sim::EventFn> firing = std::move(spare_waiters_);
+  firing.swap(it->second);
+  for (auto& w : firing) w();
+  firing.clear();
+  spare_waiters_ = std::move(firing);
 }
 
-void CacheController::wait_line_change(Addr a, std::function<void()> cb) {
+void CacheController::wait_line_change(Addr a, sim::EventFn cb) {
   change_waiters_[amap_.block_of(a)].push_back(std::move(cb));
 }
 
-void CacheController::wait_word_change(Addr a, Word last_seen, std::function<void()> cb) {
+void CacheController::wait_word_change(Addr a, Word last_seen, sim::EventFn cb) {
   const BlockId b = amap_.block_of(a);
   const CacheLine* line = cache_.find(b);
   if (line == nullptr || line->data[amap_.word_of(a)] != last_seen) {
@@ -206,17 +241,17 @@ void CacheController::op_read(Addr a, Cb cb) {
   const std::uint32_t w = amap_.word_of(a);
   // Lock-carried data: reads inside a critical section hit the lock line.
   if (CacheLine* ll = lock_cache_.find(b); ll && ll->holds_lock()) {
-    stats_.counter("cache.hits").add();
+    stats_.hits.add();
     complete(cb, ll->data[w], kHitLatency);
     return;
   }
   if (CacheLine* line = cache_.find(b)) {
-    stats_.counter("cache.hits").add();
+    stats_.hits.add();
     cache_.touch(*line, sim_.now());
     complete(cb, line->data[w], kHitLatency);
     return;
   }
-  stats_.counter("cache.misses").add();
+  stats_.misses.add();
   assert(!mshr_.active && "one outstanding demand op per processor");
   mshr_ = Mshr{};
   mshr_.active = true;
@@ -247,7 +282,7 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
     ll->data[w] = v;
     ll->dirty_mask |= 1u << w;
     ll->memory_stale = true;
-    stats_.counter("cache.hits").add();
+    stats_.hits.add();
     complete(cb, v, kHitLatency);
     return;
   }
@@ -258,11 +293,11 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
       line->data[w] = v;
       line->dirty_mask |= 1u << w;
       cache_.touch(*line, sim_.now());
-      stats_.counter("cache.hits").add();
+      stats_.hits.add();
       complete(cb, v, kHitLatency);
       return;
     }
-    stats_.counter("cache.misses").add();
+    stats_.misses.add();
     assert(!mshr_.active);
     mshr_ = Mshr{};
     mshr_.active = true;
@@ -284,11 +319,11 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
     line->data[w] = v;
     line->dirty_mask |= 1u << w;
     cache_.touch(*line, sim_.now());
-    stats_.counter("cache.hits").add();
+    stats_.hits.add();
     complete(cb, v, kHitLatency);
     return;
   }
-  stats_.counter(line ? "cache.upgrades" : "cache.misses").add();
+  (line ? stats_.upgrades : stats_.misses).add();
   assert(!mshr_.active);
   mshr_ = Mshr{};
   mshr_.active = true;
@@ -315,23 +350,25 @@ void CacheController::op_read_global(Addr a, Cb cb) {
   m.addr = a;
   m.aux = 0;  // single word, bypass cache (paper Table 1)
   send(std::move(m));
-  stats_.counter("cache.read_global").add();
+  stats_.read_global.add();
 }
 
 void CacheController::op_write_global(Addr a, Word v, Cb cb) {
   const BlockId b = amap_.block_of(a);
   const std::uint32_t w = amap_.word_of(a);
-  stats_.counter("cache.write_global").add();
+  stats_.write_global.add();
   // Keep the local copy coherent with what memory will hold; the word is
   // not marked dirty (memory is receiving it).
   if (CacheLine* line = cache_.find(b)) {
     line->data[w] = v;
     line->dirty_mask &= ~(1u << w);
   }
-  auto issue = [this, a, b, v, cb = std::move(cb)]() mutable {
+  // Six words at most, so a write parked on a full buffer stays inside
+  // EventFn's inline storage (the block is recomputed from the address).
+  auto issue = [this, a, v, cb = std::move(cb)]() mutable {
     const std::uint64_t txn = wbuf_.enter();
     sim_.trace().wb_event(sim::TraceKind::kWbEnter, sim_.now(), node_, txn);
-    auto m = make(MsgType::kWriteGlobal, b);
+    auto m = make(MsgType::kWriteGlobal, amap_.block_of(a));
     m.addr = a;
     m.value = v;
     m.txn = txn;
@@ -349,7 +386,7 @@ void CacheController::op_write_global(Addr a, Word v, Cb cb) {
 }
 
 void CacheController::op_flush_buffer(Cb cb) {
-  stats_.counter("cache.flush_buffer").add();
+  stats_.flush_buffer.add();
   sim_.trace().wb_event(sim::TraceKind::kWbFlushReq, sim_.now(), node_, wbuf_.pending());
   wbuf_.on_drained([this, cb = std::move(cb)]() mutable {
     sim_.trace().wb_event(sim::TraceKind::kWbFlushDone, sim_.now(), node_, wbuf_.pending());
@@ -373,7 +410,7 @@ void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Cb cb, Word op
   m.value2 = operand2;
   m.aux = static_cast<std::uint8_t>(op);
   send(std::move(m));
-  stats_.counter("cache.rmw").add();
+  stats_.rmw.add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kRmw, node_, b, operand);
 }
 
@@ -407,7 +444,7 @@ void CacheController::finish_wbi_txn() {
       line.msi = MsiState::kShared;
       sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, done.block,
                                old_msi, static_cast<std::uint8_t>(MsiState::kShared));
-      complete_timed(done.cb, line.data[w], done.issued_at, "lat.read_miss");
+      complete_timed(done.cb, line.data[w], done.issued_at, stats_.lat_read_miss);
       break;
     }
     case MsgType::kGetX: {
@@ -417,11 +454,11 @@ void CacheController::finish_wbi_txn() {
                                old_msi, static_cast<std::uint8_t>(MsiState::kModified));
       line.data[w] = done.wval;
       line.dirty_mask |= 1u << w;
-      complete_timed(done.cb, done.wval, done.issued_at, "lat.write_miss");
+      complete_timed(done.cb, done.wval, done.issued_at, stats_.lat_write_miss);
       break;
     }
     case MsgType::kRmw:
-      complete_timed(done.cb, done.result, done.issued_at, "lat.rmw");
+      complete_timed(done.cb, done.result, done.issued_at, stats_.lat_rmw);
       break;
     case MsgType::kReadGlobal: {
       if (done.data.count > 0) {
@@ -430,13 +467,13 @@ void CacheController::finish_wbi_txn() {
         if (done.local_write) {
           line.data[w] = done.wval;
           line.dirty_mask |= 1u << w;
-          complete_timed(done.cb, done.wval, done.issued_at, "lat.write_miss");
+          complete_timed(done.cb, done.wval, done.issued_at, stats_.lat_write_miss);
         } else {
-          complete_timed(done.cb, line.data[w], done.issued_at, "lat.read_miss");
+          complete_timed(done.cb, line.data[w], done.issued_at, stats_.lat_read_miss);
         }
       } else {
         // READ-GLOBAL proper: a single word, bypassing the cache.
-        complete_timed(done.cb, done.result, done.issued_at, "lat.read_global");
+        complete_timed(done.cb, done.result, done.issued_at, stats_.lat_read_global);
       }
       break;
     }
@@ -457,7 +494,7 @@ void CacheController::on_inv(const net::Message& m) {
                              static_cast<std::uint8_t>(line->msi),
                              static_cast<std::uint8_t>(MsiState::kInvalid));
     line->clear();
-    stats_.counter("cache.invalidated").add();
+    stats_.invalidated.add();
   }
   // Always acknowledge: the directory's full map may lag a silent
   // replacement, and the requester is counting acks either way.
@@ -486,7 +523,7 @@ void CacheController::on_recall(const net::Message& m) {
   if (line == nullptr || line->msi != MsiState::kModified) {
     // Our PutM crossed the recall in flight; the directory will treat the
     // PutM as the recall ack.
-    stats_.counter("cache.recall_crossed").add();
+    stats_.recall_crossed.add();
     return;
   }
   perform_recall(line, m.aux);
@@ -515,7 +552,7 @@ void CacheController::perform_recall(cache::CacheLine* line, std::uint8_t aux) {
                              static_cast<std::uint8_t>(MsiState::kInvalid));
     fire_line_change(b);
   }
-  stats_.counter("cache.recalled").add();
+  stats_.recalled.add();
 }
 
 }  // namespace bcsim::core

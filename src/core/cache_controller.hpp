@@ -23,10 +23,11 @@
 // computation immediately").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <string_view>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -35,6 +36,7 @@
 #include "core/config.hpp"
 #include "mem/address.hpp"
 #include "net/network.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -45,11 +47,26 @@ class CacheController {
   struct Response {
     Word value = 0;
   };
-  using Cb = std::function<void(Response)>;
+  /// Completion callback. Sixteen bytes inline hold the processor's
+  /// (its pointer plus its future's resolver), so no operation allocates.
+  using Cb = sim::InlineFn<void(Response), 16>;
+
+  /// The controllers' statistics, one table per machine shared by every
+  /// node's controller (the names are machine-wide). Each handle looks its
+  /// name up once, on first use (sim::StatHandle).
+  struct Stats {
+    explicit Stats(sim::StatsRegistry& r);
+    sim::CounterHandle hits, misses, upgrades, evictions, writebacks, put_acks, read_global,
+        write_global, flush_buffer, rmw, invalidated, recall_crossed, recalled, read_update,
+        reset_update, ru_updates_received, chain_forwards, ru_evict_unsubscribe,
+        barrier_arrive, read_lock, write_lock, lock_line_busy_waits, lock_cache_stalls,
+        unlock, lock_granted, share_cascade;
+    sim::HistogramHandle lat_read_miss, lat_write_miss, lat_rmw, lat_read_global,
+        lat_read_update, lat_lock_acquire;
+  };
 
   CacheController(NodeId node, sim::Simulator& simulator, net::Network& network,
-                  const mem::AddressMap& amap, const MachineConfig& config,
-                  sim::StatsRegistry& stats);
+                  const mem::AddressMap& amap, const MachineConfig& config, Stats& stats);
 
   /// Network sink for Unit::kCache messages addressed to this node.
   void on_message(const net::Message& m);
@@ -73,14 +90,14 @@ class CacheController {
   /// vanish (invalidation, read-update delivery, lock handoff). Spinning on
   /// a cache hit costs no simulated events, which is timing-accurate:
   /// cache-hit spins generate no network traffic.
-  void wait_line_change(Addr a, std::function<void()> cb);
+  void wait_line_change(Addr a, sim::EventFn cb);
 
   /// Race-free spin building block: fires immediately if the cached word
   /// at `a` already differs from `last_seen` (or the line is gone),
   /// otherwise when it next changes. Registration and the check happen in
   /// the same event, closing the lost-wakeup window between a spin read
   /// and the wait.
-  void wait_word_change(Addr a, Word last_seen, std::function<void()> cb);
+  void wait_word_change(Addr a, Word last_seen, sim::EventFn cb);
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] const cache::Cache& data_cache() const noexcept { return cache_; }
@@ -106,17 +123,9 @@ class CacheController {
   [[nodiscard]] bool has_pending_miss() const noexcept { return mshr_.active; }
   [[nodiscard]] BlockId pending_miss_block() const noexcept { return mshr_.block; }
   [[nodiscard]] net::MsgType pending_miss_kind() const noexcept { return mshr_.kind; }
-  [[nodiscard]] std::vector<BlockId> pending_lock_blocks() const {
-    std::vector<BlockId> out;
-    out.reserve(lock_cbs_.size());
-    for (const auto& [b, lp] : lock_cbs_) out.push_back(b);
-    return out;
-  }
+  [[nodiscard]] std::vector<BlockId> pending_lock_blocks() const { return lock_cbs_.keys(); }
   [[nodiscard]] std::vector<BlockId> pending_barrier_blocks() const {
-    std::vector<BlockId> out;
-    out.reserve(barrier_cbs_.size());
-    for (const auto& [b, cb] : barrier_cbs_) out.push_back(b);
-    return out;
+    return barrier_cbs_.keys();
   }
   [[nodiscard]] std::size_t pending_write_acks() const noexcept { return write_acks_.size(); }
   [[nodiscard]] std::uint32_t lock_release_inflight() const noexcept {
@@ -149,8 +158,8 @@ class CacheController {
   // -- common helpers --
   void complete(Cb& cb, Word value, Tick latency);
   /// Completes a request and records its issue-to-completion latency in
-  /// the named histogram (misses/locks; hits are always one cycle).
-  void complete_timed(Cb& cb, Word value, Tick issued_at, std::string_view histogram);
+  /// `histogram` (misses/locks; hits are always one cycle).
+  void complete_timed(Cb& cb, Word value, Tick issued_at, sim::HistogramHandle& histogram);
   void send(net::Message m);
   [[nodiscard]] net::Message make(net::MsgType t, BlockId b) const;
   cache::CacheLine& install_line(BlockId b, const net::BlockData& data);
@@ -193,29 +202,66 @@ class CacheController {
   net::Network& net_;
   const mem::AddressMap& amap_;
   const MachineConfig& config_;
-  sim::StatsRegistry& stats_;
+  Stats& stats_;
 
   cache::Cache cache_;
   cache::LockCache lock_cache_;
   cache::WriteBuffer wbuf_;
   Mshr mshr_;
 
+  /// Continuations parked under a key (a block or a transaction). A
+  /// processor has one or two outstanding at a time, so a vector that
+  /// keeps its capacity serves, where a hash map would allocate a node for
+  /// every operation. Kept in arrival order.
+  template <typename K, typename V>
+  class Parked {
+   public:
+    void emplace(K key, V value) { items_.emplace_back(key, std::move(value)); }
+    [[nodiscard]] bool contains(K key) const noexcept {
+      return std::any_of(items_.begin(), items_.end(),
+                         [key](const auto& kv) { return kv.first == key; });
+    }
+    /// Removes and returns the value parked under `key`, if any.
+    std::optional<V> take(K key) {
+      for (auto it = items_.begin(); it != items_.end(); ++it) {
+        if (it->first != key) continue;
+        std::optional<V> v(std::move(it->second));
+        items_.erase(it);
+        return v;
+      }
+      return std::nullopt;
+    }
+    [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
+    [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
+    [[nodiscard]] std::vector<K> keys() const {
+      std::vector<K> out;
+      out.reserve(items_.size());
+      for (const auto& [k, v] : items_) out.push_back(k);
+      return out;
+    }
+
+   private:
+    std::vector<std::pair<K, V>> items_;
+  };
+
   /// SC mode: completion continuations for global writes, keyed by txn.
-  std::unordered_map<std::uint64_t, Cb> write_acks_;
+  Parked<std::uint64_t, Cb> write_acks_;
   /// Lock-acquire continuations keyed by block (with issue tick for the
   /// acquisition-latency histogram).
   struct LockPending {
     Cb cb;
     Tick issued_at = 0;
   };
-  std::unordered_map<BlockId, LockPending> lock_cbs_;
+  Parked<BlockId, LockPending> lock_cbs_;
   /// Processors waiting for a lock line to fully leave the lock cache
   /// (immediate re-lock of a lock whose release is still in flight).
-  std::unordered_map<BlockId, std::vector<std::function<void()>>> lock_free_waiters_;
-  /// Spin waiters per block.
-  std::unordered_map<BlockId, std::vector<std::function<void()>>> change_waiters_;
+  std::unordered_map<BlockId, std::vector<sim::EventFn>> lock_free_waiters_;
+  /// Spin waiters per block (entries persist once made; see
+  /// fire_line_change).
+  std::unordered_map<BlockId, std::vector<sim::EventFn>> change_waiters_;
+  std::vector<sim::EventFn> spare_waiters_;
   /// Barrier-release continuations keyed by barrier block.
-  std::unordered_map<BlockId, Cb> barrier_cbs_;
+  Parked<BlockId, Cb> barrier_cbs_;
   /// Outstanding asynchronous lock-release protocols (for quiescent()).
   std::uint32_t lock_release_inflight_ = 0;
 };

@@ -36,18 +36,18 @@ constexpr std::uint8_t kFwdShareBit = 2;
 
 void CacheController::op_lock(Addr a, net::LockMode mode, Cb cb) {
   const BlockId b = amap_.block_of(a);
-  stats_.counter(mode == LockMode::kRead ? "cache.read_lock" : "cache.write_lock").add();
+  (mode == LockMode::kRead ? stats_.read_lock : stats_.write_lock).add();
   if (CacheLine* line = lock_cache_.find(b); line != nullptr) {
     // The previous acquisition/release of this lock is still winding down
     // (e.g. an immediate re-lock while the unlock protocol is in flight).
     lock_free_waiters_[b].push_back(
         [this, a, mode, cb = std::move(cb)]() mutable { op_lock(a, mode, std::move(cb)); });
-    stats_.counter("cache.lock_line_busy_waits").add();
+    stats_.lock_line_busy_waits.add();
     return;
   }
   const bool stalled = lock_cache_.on_slot(
       [this, b, mode, cb = std::move(cb)]() mutable { start_lock_request(b, mode, std::move(cb)); });
-  if (stalled) stats_.counter("cache.lock_cache_stalls").add();
+  if (stalled) stats_.lock_cache_stalls.add();
 }
 
 void CacheController::start_lock_request(BlockId b, net::LockMode mode, Cb cb) {
@@ -70,7 +70,7 @@ void CacheController::op_unlock(Addr a, Cb cb) {
   if (line == nullptr || !line->holds_lock()) {
     throw std::logic_error("CacheController: unlock of a lock not held");
   }
-  stats_.counter("cache.unlock").add();
+  stats_.unlock.add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kUnlock, node_, b);
   // "The unlocking processor is allowed to continue its computation
   // immediately, and does not have to wait for the unlock operation to be
@@ -229,17 +229,15 @@ void CacheController::became_holder(cache::CacheLine& line, bool chain_modified)
   const auto old_lock = static_cast<std::uint8_t>(line.lock);
   line.lock =
       (line.lock == LockState::kWaitWrite) ? LockState::kHeldWrite : LockState::kHeldRead;
-  stats_.counter("cache.lock_granted").add();
+  stats_.lock_granted.add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kLockGrant, node_, line.block);
   sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kLock, node_, line.block, old_lock,
                            static_cast<std::uint8_t>(line.lock));
   cascade_share(line);
-  auto it = lock_cbs_.find(line.block);
-  assert(it != lock_cbs_.end());
-  LockPending pending = std::move(it->second);
-  lock_cbs_.erase(it);
+  std::optional<LockPending> pending = lock_cbs_.take(line.block);
+  assert(pending.has_value());
   // The word the processor asked to lock rides along with the grant.
-  complete_timed(pending.cb, line.data[0], pending.issued_at, "lat.lock_acquire");
+  complete_timed(pending->cb, line.data[0], pending->issued_at, stats_.lat_lock_acquire);
 }
 
 void CacheController::cascade_share(cache::CacheLine& line) {
@@ -257,7 +255,7 @@ void CacheController::cascade_share(cache::CacheLine& line) {
   g.data = line.data;
   g.aux = line.memory_stale ? 1 : 0;
   send(std::move(g));
-  stats_.counter("cache.share_cascade").add();
+  stats_.share_cascade.add();
 }
 
 void CacheController::on_unlock_empty(const net::Message& m) {

@@ -17,12 +17,12 @@ void CacheController::op_read_update(Addr a, Cb cb) {
   // "A read-update request is serviced locally by the cache if the update
   // bit of the cache line is already set."
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
-    stats_.counter("cache.hits").add();
+    stats_.hits.add();
     cache_.touch(*line, sim_.now());
     complete(cb, line->data[w], kHitLatency);
     return;
   }
-  stats_.counter("cache.read_update").add();
+  stats_.read_update.add();
   assert(!mshr_.active);
   mshr_ = Mshr{};
   mshr_.active = true;
@@ -38,7 +38,7 @@ void CacheController::op_read_update(Addr a, Cb cb) {
 
 void CacheController::op_reset_update(Addr a, Cb cb) {
   const BlockId b = amap_.block_of(a);
-  stats_.counter("cache.reset_update").add();
+  stats_.reset_update.add();
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
     line->update_bit = false;
     line->prev = line->next = kNoNode;
@@ -63,11 +63,11 @@ void CacheController::on_ru_data(const net::Message& m) {
   line.prev = kNoNode;
   line.next = m.who;
   complete_timed(done.cb, line.data[amap_.word_of(done.addr)], done.issued_at,
-                 "lat.read_update");
+                 stats_.lat_read_update);
 }
 
 void CacheController::on_ru_update(const net::Message& m) {
-  stats_.counter("cache.ru_updates_received").add();
+  stats_.ru_updates_received.add();
   if (CacheLine* line = cache_.find(m.block);
       line && line->update_bit && m.value > line->ru_version) {
     // Merge: take updated values for words this node has not locally
@@ -103,13 +103,13 @@ void CacheController::on_ru_update(const net::Message& m) {
 
 void CacheController::forward_chain(const net::Message& m) {
   if (m.chain.empty()) return;
-  Message fwd = m;
+  Message fwd = m;  // shares m's chain snapshot; only the cursor moves
   fwd.src = node_;
   fwd.dst = fwd.chain.front();
-  fwd.chain.erase(fwd.chain.begin());
+  fwd.chain.pop_front();
   // One cache-directory lookup before the hop leaves this node.
   net_.send_at(sim_.now() + config_.t_directory, std::move(fwd));
-  stats_.counter("cache.chain_forwards").add();
+  stats_.chain_forwards.add();
 }
 
 // ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ void CacheController::forward_chain(const net::Message& m) {
 
 void CacheController::op_barrier(Addr a, std::uint32_t participants, Cb cb) {
   const BlockId b = amap_.block_of(a);
-  stats_.counter("cache.barrier_arrive").add();
+  stats_.barrier_arrive.add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierArrive, node_, b, participants);
   assert(!barrier_cbs_.contains(b));
   barrier_cbs_.emplace(b, std::move(cb));
@@ -132,23 +132,19 @@ void CacheController::on_bar_ack(const net::Message& m) {
   if (m.aux == 1) {
     // We were the last arriver: the barrier opened as we hit it.
     sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierRelease, node_, m.block, m.value);
-    auto it = barrier_cbs_.find(m.block);
-    assert(it != barrier_cbs_.end());
-    Cb cb = std::move(it->second);
-    barrier_cbs_.erase(it);
-    cb(Response{m.value});
+    std::optional<Cb> cb = barrier_cbs_.take(m.block);
+    assert(cb.has_value());
+    (*cb)(Response{m.value});
   }
   // Otherwise: arrival recorded; keep waiting for kBarRelease.
 }
 
 void CacheController::on_bar_release(const net::Message& m) {
   forward_chain(m);
-  auto it = barrier_cbs_.find(m.block);
-  if (it == barrier_cbs_.end()) return;  // release overtook a re-arrival race
+  std::optional<Cb> cb = barrier_cbs_.take(m.block);
+  if (!cb) return;  // release overtook a re-arrival race
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierRelease, node_, m.block, m.value);
-  Cb cb = std::move(it->second);
-  barrier_cbs_.erase(it);
-  cb(Response{m.value});
+  (*cb)(Response{m.value});
 }
 
 }  // namespace bcsim::core

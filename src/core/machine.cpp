@@ -47,9 +47,9 @@ Machine::Machine(const MachineConfig& config)
   processors_.reserve(config_.n_nodes);
   for (NodeId i = 0; i < config_.n_nodes; ++i) {
     dirs_.push_back(std::make_unique<proto::DirectoryController>(i, sim_, *network_, amap_,
-                                                                 config_, stats_));
+                                                                 config_, dir_stats_));
     caches_.push_back(
-        std::make_unique<CacheController>(i, sim_, *network_, amap_, config_, stats_));
+        std::make_unique<CacheController>(i, sim_, *network_, amap_, config_, cache_stats_));
     processors_.push_back(
         std::make_unique<Processor>(i, sim_, *caches_.back(), config_, seeder.next_u64()));
     network_->attach(i, net::Unit::kMemory,

@@ -170,6 +170,8 @@ class Machine {
   MachineConfig config_;
   sim::Simulator sim_;
   sim::StatsRegistry stats_;
+  proto::DirectoryController::Stats dir_stats_{stats_};
+  CacheController::Stats cache_stats_{stats_};
   mem::AddressMap amap_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<proto::DirectoryController>> dirs_;

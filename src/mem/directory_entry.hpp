@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/message.hpp"
@@ -68,8 +67,10 @@ struct DirectoryEntry {
 
   /// Requests that arrived while the entry was busy; drained FIFO when the
   /// entry becomes stable again (the paper assumes infinite buffers, so
-  /// queuing — not NACKing — is the faithful model).
-  std::deque<net::Message> blocked;
+  /// queuing — not NACKing — is the faithful model). A vector, not a
+  /// deque: it is only appended to and drained whole, and an empty one
+  /// costs no heap block.
+  std::vector<net::Message> blocked;
 
   // ---- paper Figure 2b ----
   /// usage bit: false = queue pointer threads the read-update subscriber

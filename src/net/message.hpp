@@ -13,9 +13,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <string_view>
-#include <vector>
+#include <utility>
 
+#include "sim/block_pool.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::net {
@@ -138,6 +140,82 @@ class BlockData {
   Word inline_[kInlineWords] = {};
 };
 static_assert(sizeof(BlockData) <= 48, "BlockData: count and cap_ share a word");
+
+/// The remaining hops of a chain-propagated message (kRuUpdate,
+/// kBarRelease). The directory snapshots its subscriber list once per
+/// propagation ("when the main memory is updated, the updated block is
+/// transferred using this linked-list structure"); every hop, and every
+/// duplicated, retransmitted or reorder-buffered copy of a hop, shares that
+/// one immutable snapshot and differs only in its cursor. A hop therefore
+/// costs a reference count, not a copy of the rest of the list.
+///
+/// The snapshot is one block of the per-thread block pool
+/// (sim/block_pool.hpp), and its count is a plain integer: a message never
+/// leaves the machine (and so the thread) that made it.
+class Chain {
+ public:
+  Chain() noexcept = default;
+  /// A new snapshot of [first, last); an empty range allocates nothing.
+  template <typename It>
+  Chain(It first, It last) {
+    const auto n = static_cast<std::uint32_t>(std::distance(first, last));
+    if (n == 0) return;
+    rep_ = static_cast<Rep*>(sim::pool_allocate(Rep::bytes(n)));
+    rep_->refs = 1;
+    rep_->size = n;
+    std::copy(first, last, rep_->hops());
+  }
+  Chain(const Chain& o) noexcept : rep_(o.rep_), pos_(o.pos_) {
+    if (rep_ != nullptr) ++rep_->refs;
+  }
+  Chain(Chain&& o) noexcept
+      : rep_(std::exchange(o.rep_, nullptr)), pos_(std::exchange(o.pos_, 0)) {}
+  Chain& operator=(Chain o) noexcept {
+    std::swap(rep_, o.rep_);
+    std::swap(pos_, o.pos_);
+    return *this;
+  }
+  ~Chain() { clear(); }
+
+  /// Replaces the hops with a new snapshot of [first, last).
+  template <typename It>
+  void assign(It first, It last) {
+    *this = Chain(first, last);
+  }
+  /// Drops this copy's reference (the last one frees the snapshot).
+  void clear() noexcept {
+    if (rep_ != nullptr && --rep_->refs == 0) sim::pool_deallocate(rep_, Rep::bytes(rep_->size));
+    rep_ = nullptr;
+    pos_ = 0;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return rep_ == nullptr ? 0 : rep_->size - pos_;
+  }
+  /// The next hop. Precondition: !empty().
+  [[nodiscard]] NodeId front() const noexcept {
+    assert(!empty());
+    return rep_->hops()[pos_];
+  }
+  /// Advances the cursor past the next hop. Precondition: !empty().
+  void pop_front() noexcept {
+    assert(!empty());
+    ++pos_;
+  }
+
+ private:
+  /// Header of the snapshot's single pooled block; the hops follow it.
+  struct Rep {
+    std::uint32_t refs;
+    std::uint32_t size;
+    NodeId* hops() noexcept { return reinterpret_cast<NodeId*>(this + 1); }
+    static std::size_t bytes(std::uint32_t n) noexcept { return sizeof(Rep) + n * sizeof(NodeId); }
+  };
+
+  Rep* rep_ = nullptr;
+  std::uint32_t pos_ = 0;  ///< hops already taken
+};
 
 /// Which unit at the destination node consumes the message. Memory modules
 /// (and their directory slice) are co-located with processor nodes, per the
@@ -273,16 +351,12 @@ struct Message {
   BlockData data;              ///< block payload where applicable
 
   /// Remaining hops for chain-propagated messages (kRuUpdate, kBarRelease):
-  /// the receiving cache pops the front and forwards to the new front. The
-  /// chain is snapshotted from the directory's list when propagation
-  /// starts, which is exactly the paper's semantics ("when the main memory
-  /// is updated, the updated block is transferred using this linked-list
-  /// structure").
-  std::vector<NodeId> chain;
+  /// the receiving cache pops the front and forwards to the new front.
+  Chain chain;
 };
 
 // Every send moves a Message by value through send -> route_and_deliver ->
-// schedule_delivery into a MessagePool slot, so keep it small (144 B with
+// schedule_delivery into a MessagePool slot, so keep it small (136 B with
 // the 4-word inline payload).
 static_assert(sizeof(Message) <= 160, "Message grew: the by-value send path copies it");
 

@@ -120,8 +120,8 @@ void Network::send_at(Tick at, Message msg) {
 }
 
 void Network::deliver(const Message& m) {
-  const auto& sinks = (m.unit == Unit::kCache) ? cache_sinks_ : memory_sinks_;
-  const auto& fn = sinks.at(m.dst);
+  auto& sinks = (m.unit == Unit::kCache) ? cache_sinks_ : memory_sinks_;
+  auto& fn = sinks.at(m.dst);
   if (!fn) throw std::logic_error("Network: message to unattached endpoint");
   simulator_.trace().msg(sim::TraceKind::kMsgDeliver, simulator_.now(),
                          static_cast<std::uint8_t>(m.type), m.src, m.dst,

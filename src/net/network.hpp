@@ -10,12 +10,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "net/message.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -28,11 +28,12 @@ namespace bcsim::net {
 
 class Transport;
 
-/// Handler invoked at the destination when a message arrives.
-using DeliverFn = std::function<void(const Message&)>;
+/// Handler invoked at the destination when a message arrives (a
+/// controller pointer, plus a word for a timing or recording wrapper).
+using DeliverFn = sim::InlineFn<void(const Message&), 16>;
 
-/// Free-list pool of in-flight Messages. A Message is ~150 bytes (header,
-/// inline block payload, chain vector), so carrying one inside every
+/// Free-list pool of in-flight Messages. A Message is ~140 bytes (header,
+/// inline block payload, chain cursor), so carrying one inside every
 /// delivery closure used to mean a heap allocation per send and a free per
 /// delivery. The pool recycles the objects instead: the closure captures a
 /// bare pointer (which also keeps it inside EventFn's inline buffer) and the
@@ -52,7 +53,8 @@ class MessagePool {
     return p;
   }
 
-  /// Returns a message to the pool. `p` must come from acquire().
+  /// Returns a message to the pool, dropping its chain snapshot
+  /// reference. `p` must come from acquire().
   void release(Message* p) noexcept {
     p->chain.clear();
     p->data.count = 0;

@@ -13,10 +13,34 @@ using net::Message;
 using net::MsgType;
 using net::Unit;
 
+DirectoryController::Stats::Stats(sim::StatsRegistry& r)
+    : gets(r, "dir.gets"),
+      getx(r, "dir.getx"),
+      rmw(r, "dir.rmw"),
+      invs(r, "dir.invs"),
+      recalls(r, "dir.recalls"),
+      deferred(r, "dir.deferred"),
+      coarse_invalidations(r, "dir.coarse_invalidations"),
+      broadcast_invalidations(r, "dir.broadcast_invalidations"),
+      coarse_overflows(r, "dir.coarse_overflows"),
+      read_global(r, "dir.read_global"),
+      write_global(r, "dir.write_global"),
+      read_update(r, "dir.read_update"),
+      reset_update(r, "dir.reset_update"),
+      ru_propagations(r, "dir.ru_propagations"),
+      barrier_arrivals(r, "dir.barrier_arrivals"),
+      lock_req(r, "dir.lock_req"),
+      lock_fwd_share(r, "dir.lock_fwd_share"),
+      lock_fwd_wait(r, "dir.lock_fwd_wait"),
+      unlock_notify(r, "dir.unlock_notify"),
+      unlock_notify_deferred(r, "dir.unlock_notify_deferred"),
+      unlock_query(r, "dir.unlock_query"),
+      unlock_query_deferred(r, "dir.unlock_query_deferred"),
+      lock_writeback(r, "dir.lock_writeback") {}
+
 DirectoryController::DirectoryController(NodeId node, sim::Simulator& simulator,
                                          net::Network& network, const mem::AddressMap& amap,
-                                         const core::MachineConfig& config,
-                                         sim::StatsRegistry& stats)
+                                         const core::MachineConfig& config, Stats& stats)
     : node_(node), sim_(simulator), net_(network), amap_(amap), config_(config), stats_(stats),
       memory_(config.block_words, config.t_directory, config.t_memory) {}
 
@@ -98,7 +122,7 @@ void DirectoryController::handle(const net::Message& m) {
 bool DirectoryController::defer_if_busy(mem::DirectoryEntry& e, const net::Message& m) {
   if (!e.busy()) return false;
   e.blocked.push_back(m);
-  stats_.counter("dir.deferred").add();
+  stats_.deferred.add();
   return true;
 }
 
@@ -106,13 +130,22 @@ void DirectoryController::drain_blocked(BlockId b) {
   auto& e = entry(b);
   if (e.blocked.empty()) return;
   // Replay FIFO; a replayed request may make the entry busy again, in
-  // which case handle() re-queues the remainder in order.
-  std::deque<net::Message> pending;
+  // which case handle() re-queues the remainder in order. The batch
+  // vectors are recycled (the entry keeps a spare's capacity, the spare
+  // list gets the batch back once replayed), so a deferral allocates
+  // nothing once the queues have grown to their working depth.
+  std::vector<net::Message> pending;
+  if (!spare_batches_.empty()) {
+    pending = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+  }
   pending.swap(e.blocked);
   // Handle asynchronously so the current handler finishes its state
   // transition before any replay observes it.
   sim_.schedule(0, [this, pending = std::move(pending)]() mutable {
     for (auto& m : pending) handle(m);
+    pending.clear();
+    spare_batches_.push_back(std::move(pending));
   });
 }
 
@@ -140,7 +173,7 @@ net::Message DirectoryController::reply_to(const net::Message& m, net::MsgType t
 void DirectoryController::on_gets(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.gets").add();
+  stats_.gets.add();
   switch (e.state) {
     case mem::DirState::kUncached:
     case mem::DirState::kShared: {
@@ -162,7 +195,7 @@ void DirectoryController::on_gets(const net::Message& m) {
 void DirectoryController::on_getx(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.getx").add();
+  stats_.getx.add();
   switch (e.state) {
     case mem::DirState::kUncached:
     case mem::DirState::kShared: {
@@ -178,7 +211,7 @@ void DirectoryController::on_getx(const net::Message& m) {
         inv.aux = 0;      // 0: ack to cache, 1: ack to directory
         reply_after(0, std::move(inv));
         ++acks;
-        stats_.counter("dir.invs").add();
+        stats_.invs.add();
       }
       clear_sharers(e);
       e.state = mem::DirState::kModified;
@@ -200,7 +233,7 @@ void DirectoryController::on_getx(const net::Message& m) {
 void DirectoryController::on_rmw(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.rmw").add();
+  stats_.rmw.add();
   switch (e.state) {
     case mem::DirState::kUncached: {
       auto out = reply_to(m, MsgType::kRmwAck);
@@ -217,7 +250,7 @@ void DirectoryController::on_rmw(const net::Message& m) {
       e.state = mem::DirState::kBusyRmw;
       // RMW invalidates every cached copy, the requester's included
       // (the result lives at memory).
-      const auto targets = invalidation_targets(e, kNoNode);
+      const auto& targets = invalidation_targets(e, kNoNode);
       e.acks_outstanding = static_cast<std::uint32_t>(targets.size());
       memory_.occupy(sim_.now(), config_.t_directory);  // directory lookup
       for (NodeId s : targets) {
@@ -230,7 +263,7 @@ void DirectoryController::on_rmw(const net::Message& m) {
         inv.who = node_;
         inv.aux = 1;  // ack to directory
         reply_after(0, std::move(inv));
-        stats_.counter("dir.invs").add();
+        stats_.invs.add();
       }
       clear_sharers(e);
       if (targets.empty()) {
@@ -315,7 +348,7 @@ void DirectoryController::on_inv_ack(const net::Message& m) {
 
 void DirectoryController::start_recall(mem::DirectoryEntry& e, const net::Message& cause,
                                        bool for_exclusive) {
-  stats_.counter("dir.recalls").add();
+  stats_.recalls.add();
   e.pending = cause;
   e.state = mem::DirState::kBusyRecall;
   net::Message rec;
@@ -370,14 +403,15 @@ void DirectoryController::finish_pending(mem::DirectoryEntry& e) {
   drain_blocked(m.block);
 }
 
-std::vector<NodeId> DirectoryController::invalidation_targets(const mem::DirectoryEntry& e,
-                                                              NodeId requester) const {
-  std::vector<NodeId> out;
+const std::vector<NodeId>& DirectoryController::invalidation_targets(
+    const mem::DirectoryEntry& e, NodeId requester) {
+  std::vector<NodeId>& out = targets_;
+  out.clear();
   if (e.coarse) {
     // Coarse vector: invalidate every node of every flagged region (each
     // acks, cached copy or not). Conservative but never machine-wide
     // unless every region bit is set.
-    stats_.counter("dir.coarse_invalidations").add();
+    stats_.coarse_invalidations.add();
     for (NodeId n = 0; n < config_.n_nodes; ++n) {
       if (n != requester && e.region_bit(region_of(n))) out.push_back(n);
     }
@@ -388,14 +422,12 @@ std::vector<NodeId> DirectoryController::invalidation_targets(const mem::Directo
     // Dir_k-B: the directory ran out of pointers for this block; the only
     // safe invalidation is a broadcast to every other node (each acks,
     // cached copy or not).
-    stats_.counter("dir.broadcast_invalidations").add();
-    out.reserve(config_.n_nodes - 1);
+    stats_.broadcast_invalidations.add();
     for (NodeId n = 0; n < config_.n_nodes; ++n) {
       if (n != requester) out.push_back(n);
     }
     return out;
   }
-  out.reserve(e.sharers.size());
   for (NodeId s : e.sharers) {
     if (s != requester) out.push_back(s);
   }
@@ -416,7 +448,7 @@ void DirectoryController::add_sharer(mem::DirectoryEntry& e, NodeId n) {
     // Pointer budget exhausted: fold the exact pointers into region bits.
     // From here the entry stays coarse until an invalidation round clears
     // every copy and clear_sharers() makes it exact again.
-    stats_.counter("dir.coarse_overflows").add();
+    stats_.coarse_overflows.add();
     e.coarse = true;
     for (NodeId s : e.sharers) e.set_region_bit(region_of(s));
     e.sharers.clear();

@@ -38,9 +38,21 @@ namespace bcsim::proto {
 
 class DirectoryController {
  public:
+  /// The directories' statistics, one table per machine shared by every
+  /// node's directory (the names are machine-wide). Each handle looks its
+  /// name up once, on first use (sim::StatHandle).
+  struct Stats {
+    explicit Stats(sim::StatsRegistry& r);
+    sim::CounterHandle gets, getx, rmw, invs, recalls, deferred, coarse_invalidations,
+        broadcast_invalidations, coarse_overflows, read_global, write_global, read_update,
+        reset_update, ru_propagations, barrier_arrivals, lock_req, lock_fwd_share,
+        lock_fwd_wait, unlock_notify, unlock_notify_deferred, unlock_query,
+        unlock_query_deferred, lock_writeback;
+  };
+
   DirectoryController(NodeId node, sim::Simulator& simulator, net::Network& network,
                       const mem::AddressMap& amap, const core::MachineConfig& config,
-                      sim::StatsRegistry& stats);
+                      Stats& stats);
 
   /// Network sink for Unit::kMemory messages addressed to this node.
   void on_message(const net::Message& m);
@@ -100,9 +112,10 @@ class DirectoryController {
   /// Nodes to invalidate for an exclusive request: the exact sharer set
   /// under a full-map directory; all other nodes under Dir_k-B once the
   /// pointer limit is exceeded; every node of every flagged region for a
-  /// coarse-vector entry.
-  [[nodiscard]] std::vector<NodeId> invalidation_targets(const mem::DirectoryEntry& e,
-                                                         NodeId requester) const;
+  /// coarse-vector entry. The list lives in a scratch vector reused by the
+  /// next call.
+  [[nodiscard]] const std::vector<NodeId>& invalidation_targets(const mem::DirectoryEntry& e,
+                                                                NodeId requester);
   /// Records `n` as a sharer, honoring the directory representation:
   /// exact pointer while within budget, region bit once the entry is (or
   /// becomes) coarse under the kCoarse overflow policy.
@@ -141,9 +154,13 @@ class DirectoryController {
   net::Network& net_;
   const mem::AddressMap& amap_;
   const core::MachineConfig& config_;
-  sim::StatsRegistry& stats_;
+  Stats& stats_;
   mem::MemoryModule memory_;
   std::unordered_map<BlockId, mem::DirectoryEntry> entries_;
+  /// Replayed deferral batches, kept for reuse (drain_blocked).
+  std::vector<std::vector<net::Message>> spare_batches_;
+  /// Scratch list behind invalidation_targets().
+  std::vector<NodeId> targets_;
   TransitionHook hook_;
 };
 

@@ -1,14 +1,16 @@
-// Small-buffer callable for simulation events.
+// Small-buffer callables for simulation events and completion callbacks.
 //
-// EventFn replaces std::function<void()> on the kernel's hottest path. The
-// simulator fires tens of millions of events per host second; std::function
-// heap-allocates any capture over its (implementation-defined, ~16-byte)
-// small-object threshold, and the network's delivery closures used to carry
-// a whole net::Message that way — one malloc/free per message. EventFn
-// stores captures up to kInlineBytes in place (48 bytes: six pointers, or a
-// bound completion callback plus a word), relocates with a single indirect
-// call, and falls back to one heap cell only for oversized or
-// throwing-move callables (e.g. the directory's deferred-replay deque).
+// InlineFn<R(Args...), N> stands in for std::function on the kernel's and
+// the controllers' hottest paths. The simulator fires tens of millions of
+// events per host second, and every memory operation carries a completion
+// callback; std::function heap-allocates any capture over its
+// (implementation-defined, ~16-byte) small-object threshold. InlineFn
+// stores captures up to N bytes in place, relocates with a single indirect
+// call (or a fixed-size memcpy for trivially copyable captures), and falls
+// back to one heap cell only for oversized or throwing-move callables.
+//
+// EventFn is the kernel's void() event: 48 bytes inline, enough for six
+// pointers or a bound completion callback plus a word.
 #pragma once
 
 #include <cstddef>
@@ -19,29 +21,34 @@
 
 namespace bcsim::sim {
 
-/// Move-only type-erased void() callable with inline storage.
-class EventFn {
+template <typename Signature, std::size_t InlineBytes>
+class InlineFn;
+
+/// Move-only type-erased R(Args...) callable with InlineBytes of inline
+/// storage.
+template <typename R, typename... Args, std::size_t InlineBytes>
+class InlineFn<R(Args...), InlineBytes> {
  public:
   /// Captures up to this many bytes (with at most pointer alignment) are
   /// stored inline; anything larger lives in a single heap cell.
-  static constexpr std::size_t kInlineBytes = 48;
+  static constexpr std::size_t kInlineBytes = InlineBytes;
 
-  EventFn() noexcept = default;
+  InlineFn() noexcept = default;
 
   template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFn> &&
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     emplace<std::decay_t<F>>(std::forward<F>(f));
   }
 
-  EventFn(EventFn&& o) noexcept : vt_(o.vt_) {
+  InlineFn(InlineFn&& o) noexcept : vt_(o.vt_) {
     if (vt_ != nullptr) {
       relocate_from(o);
       o.vt_ = nullptr;
     }
   }
-  EventFn& operator=(EventFn&& o) noexcept {
+  InlineFn& operator=(InlineFn&& o) noexcept {
     if (this != &o) {
       reset();
       vt_ = o.vt_;
@@ -52,27 +59,35 @@ class EventFn {
     }
     return *this;
   }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
+  ~InlineFn() { reset(); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return vt_ != nullptr; }
 
-  /// Invokes the callable. Precondition: non-empty (events are fired
-  /// exactly once, straight out of the queue).
-  void operator()() { vt_->call(buf_); }
+  /// Invokes the callable. Precondition: non-empty.
+  R operator()(Args... args) { return vt_->call(buf_, std::forward<Args>(args)...); }
 
  private:
   struct VTable {
-    void (*call)(void*);
+    R (*call)(void*, Args&&...);
     /// Move-constructs into dst from src and destroys src (dst is raw).
     /// nullptr means "memcpy the buffer" — most captures are a few
-    /// pointers, and skipping the indirect call matters: the event vectors
-    /// relocate events on growth and hand them out on every pop.
+    /// pointers, and skipping the indirect call matters: the event queue
+    /// relocates events on growth and hands them out on every pop.
     void (*relocate)(void* dst, void* src) noexcept;
     /// nullptr means "trivially destructible" for the same reason.
     void (*destroy)(void*) noexcept;
   };
+
+  template <typename F>
+  static R invoke(F& f, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      f(std::forward<Args>(args)...);
+    } else {
+      return f(std::forward<Args>(args)...);
+    }
+  }
 
   template <typename F>
   void emplace(F f) {
@@ -80,7 +95,9 @@ class EventFn {
                   std::is_trivially_copyable_v<F> && std::is_trivially_destructible_v<F>) {
       ::new (static_cast<void*>(buf_)) F(std::move(f));
       static constexpr VTable vt = {
-          [](void* p) { (*std::launder(reinterpret_cast<F*>(p)))(); },
+          [](void* p, Args&&... args) -> R {
+            return invoke(*std::launder(reinterpret_cast<F*>(p)), std::forward<Args>(args)...);
+          },
           nullptr,
           nullptr,
       };
@@ -89,7 +106,9 @@ class EventFn {
                          std::is_nothrow_move_constructible_v<F>) {
       ::new (static_cast<void*>(buf_)) F(std::move(f));
       static constexpr VTable vt = {
-          [](void* p) { (*std::launder(reinterpret_cast<F*>(p)))(); },
+          [](void* p, Args&&... args) -> R {
+            return invoke(*std::launder(reinterpret_cast<F*>(p)), std::forward<Args>(args)...);
+          },
           [](void* dst, void* src) noexcept {
             F* s = std::launder(reinterpret_cast<F*>(src));
             ::new (dst) F(std::move(*s));
@@ -101,7 +120,9 @@ class EventFn {
     } else {
       ::new (static_cast<void*>(buf_)) F*(new F(std::move(f)));
       static constexpr VTable vt = {
-          [](void* p) { (**std::launder(reinterpret_cast<F**>(p)))(); },
+          [](void* p, Args&&... args) -> R {
+            return invoke(**std::launder(reinterpret_cast<F**>(p)), std::forward<Args>(args)...);
+          },
           [](void* dst, void* src) noexcept {
             ::new (dst) F*(*std::launder(reinterpret_cast<F**>(src)));
           },
@@ -111,7 +132,7 @@ class EventFn {
     }
   }
 
-  void relocate_from(EventFn& o) noexcept {
+  void relocate_from(InlineFn& o) noexcept {
     if (vt_->relocate != nullptr) {
       vt_->relocate(buf_, o.buf_);
     } else {
@@ -140,5 +161,8 @@ class EventFn {
   const VTable* vt_ = nullptr;
   alignas(void*) std::byte buf_[kInlineBytes];
 };
+
+/// The kernel's event callable: void(), six pointers inline.
+using EventFn = InlineFn<void(), 48>;
 
 }  // namespace bcsim::sim

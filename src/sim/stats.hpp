@@ -3,7 +3,8 @@
 // Components register counters/histograms against a StatsRegistry by name;
 // handles are stable for the registry's lifetime (deque storage). The
 // registry can render a human-readable report and expose raw values to
-// tests and benchmark harnesses.
+// tests and benchmark harnesses. Hot paths hold a StatHandle, which looks
+// its name up once, on first use.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/types.hpp"
 
@@ -96,5 +98,48 @@ class StatsRegistry {
   std::map<std::string, Counter*, std::less<>> counters_;
   std::map<std::string, Histogram*, std::less<>> histograms_;
 };
+
+/// A statistic named once and resolved to its registry slot on first use,
+/// for per-operation paths that would otherwise look the name up on every
+/// update. The name is registered by the first add()/record(), never at
+/// construction: digest() and report() cover every *registered* name, so a
+/// handle for a statistic a run never touches must leave both unchanged —
+/// exactly as a `stats.counter(name).add()` that never executes does.
+/// `name` must outlive the handle (a string literal).
+template <typename Stat>
+class StatHandle {
+ public:
+  StatHandle(StatsRegistry& stats, const char* name) noexcept : stats_(&stats), name_(name) {}
+
+  void add(std::uint64_t n = 1)
+    requires std::is_same_v<Stat, Counter>
+  {
+    resolve().add(n);
+  }
+  void record(std::uint64_t sample)
+    requires std::is_same_v<Stat, Histogram>
+  {
+    resolve().record(sample);
+  }
+
+ private:
+  Stat& resolve() {
+    if (stat_ == nullptr) [[unlikely]] {
+      if constexpr (std::is_same_v<Stat, Counter>) {
+        stat_ = &stats_->counter(name_);
+      } else {
+        stat_ = &stats_->histogram(name_);
+      }
+    }
+    return *stat_;
+  }
+
+  StatsRegistry* stats_;
+  const char* name_;
+  Stat* stat_ = nullptr;
+};
+
+using CounterHandle = StatHandle<Counter>;
+using HistogramHandle = StatHandle<Histogram>;
 
 }  // namespace bcsim::sim

@@ -17,11 +17,14 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 
+#include "sim/block_pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
 
@@ -37,6 +40,13 @@ class Task {
     std::coroutine_handle<> continuation{};
     bool finished = false;
     std::exception_ptr exception{};
+
+    /// Frames come from the per-thread block pool: workloads and sync
+    /// algorithms await a sub-task per memory reference or lock operation.
+    static void* operator new(std::size_t bytes) { return pool_allocate(bytes); }
+    static void operator delete(void* p, std::size_t bytes) noexcept {
+      pool_deallocate(p, bytes);
+    }
 
     Task get_return_object() { return Task(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
@@ -111,32 +121,78 @@ class Task {
 };
 
 /// One-shot future bridging callback-style hardware completion to a
-/// coroutine await. The shared state outlives both sides regardless of
-/// which is destroyed first.
+/// coroutine await. The state outlives both sides regardless of which is
+/// destroyed first: the future, its awaiter and every resolver each hold
+/// one reference to it.
+///
+/// Every memory operation makes one future, so the state comes from the
+/// per-thread block pool (sim/block_pool.hpp) and its reference count is a
+/// plain integer — one machine, and every future it makes, is driven by one
+/// thread at a time. The last reference destroys the state and returns its
+/// block, so a reused state always starts clean.
 template <typename T>
 class SimFuture {
   struct State {
     std::optional<T> value;
     std::coroutine_handle<> waiter{};
+    std::uint32_t refs = 1;
+  };
+
+  static State* acquire() { return ::new (pool_allocate(sizeof(State))) State; }
+  static State* retain(State* s) noexcept {
+    ++s->refs;
+    return s;
+  }
+  static void release(State* s) noexcept {
+    if (--s->refs != 0) return;
+    s->~State();
+    pool_deallocate(s, sizeof(State));
+  }
+
+  /// Owning reference to a state (the future's, an awaiter's, a resolver's).
+  class Ref {
+   public:
+    explicit Ref(State* s) noexcept : s_(s) {}
+    Ref(const Ref& o) noexcept : s_(retain(o.s_)) {}
+    Ref(Ref&& o) noexcept : s_(std::exchange(o.s_, nullptr)) {}
+    Ref& operator=(Ref o) noexcept {
+      std::swap(s_, o.s_);
+      return *this;
+    }
+    ~Ref() {
+      if (s_ != nullptr) release(s_);
+    }
+    State* operator->() const noexcept { return s_; }
+
+   private:
+    State* s_;
   };
 
  public:
-  SimFuture() : st_(std::make_shared<State>()) {}
-
   /// Callable handed to the hardware side; invoking it fulfills the future
   /// and resumes the awaiting coroutine immediately (same tick).
-  [[nodiscard]] auto resolver() const {
-    return [st = st_](T v) {
-      st->value.emplace(std::move(v));
-      if (auto w = std::exchange(st->waiter, nullptr)) w.resume();
-    };
-  }
+  class Resolver {
+   public:
+    void operator()(T v) const {
+      st_->value.emplace(std::move(v));
+      if (auto w = std::exchange(st_->waiter, nullptr)) w.resume();
+    }
+
+   private:
+    friend class SimFuture;
+    explicit Resolver(Ref st) noexcept : st_(std::move(st)) {}
+    Ref st_;
+  };
+
+  SimFuture() : st_(acquire()) {}
+
+  [[nodiscard]] Resolver resolver() const { return Resolver(st_); }
 
   [[nodiscard]] bool ready() const noexcept { return st_->value.has_value(); }
 
   auto operator co_await() const noexcept {
     struct Awaiter {
-      std::shared_ptr<State> st;
+      Ref st;
       bool await_ready() const noexcept { return st->value.has_value(); }
       void await_suspend(std::coroutine_handle<> h) const noexcept { st->waiter = h; }
       T await_resume() const { return std::move(*st->value); }
@@ -145,7 +201,7 @@ class SimFuture {
   }
 
  private:
-  std::shared_ptr<State> st_;
+  Ref st_;
 };
 
 /// Tag type for void-valued futures.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -262,6 +263,36 @@ TEST(StatsRegistry, ReportMentionsEverything) {
   EXPECT_NE(s.find("lat"), std::string::npos);
 }
 
+TEST(StatsRegistry, UnusedHandleLeavesDigestAndReportUnchanged) {
+  // digest() and report() cover every registered name, so a handle must not
+  // register its name before it is first used.
+  auto render = [](const StatsRegistry& reg) {
+    std::ostringstream os;
+    reg.report(os);
+    return os.str();
+  };
+  StatsRegistry plain;
+  plain.counter("x.used").add(2);
+  plain.histogram("lat.used").record(7);
+  StatsRegistry handled;
+  CounterHandle used(handled, "x.used");
+  CounterHandle unused(handled, "x.unused");
+  HistogramHandle lat_used(handled, "lat.used");
+  HistogramHandle lat_unused(handled, "lat.unused");
+  used.add();
+  used.add();
+  lat_used.record(7);
+  EXPECT_EQ(handled.digest(), plain.digest());
+  EXPECT_EQ(render(handled), render(plain));
+  EXPECT_EQ(handled.counter_value("x.unused"), 0u);
+  EXPECT_EQ(handled.find_histogram("lat.unused"), nullptr);
+  // First use registers the name exactly as counter(name).add() does.
+  unused.add(0);
+  plain.counter("x.unused").add(0);
+  EXPECT_EQ(handled.digest(), plain.digest());
+  EXPECT_EQ(render(handled), render(plain));
+}
+
 TEST(Log, LevelsGateEmission) {
   const LogLevel old = log_level();
   set_log_level(LogLevel::kOff);
@@ -369,6 +400,53 @@ TEST(SimFuture, ImmediateValueSkipsSuspension) {
   Task t = awaits_future(f, out);
   t.start();
   EXPECT_EQ(out, 3);
+}
+
+TEST(SimFuture, DroppedBeforeItsResolverFiresStaysSafe) {
+  std::optional<SimFuture<int>::Resolver> resolve;
+  {
+    SimFuture<int> f;
+    resolve.emplace(f.resolver());
+  }
+  // The resolver still owns the state: a new future must not be handed the
+  // same one, or firing the old resolver would fulfil the new future.
+  SimFuture<int> g;
+  (*resolve)(5);
+  EXPECT_FALSE(g.ready());
+  resolve.reset();
+  g.resolver()(6);
+  int out = 0;
+  Task t = awaits_future(g, out);
+  t.start();
+  EXPECT_EQ(out, 6);
+}
+
+TEST(SimFuture, PooledStateComesBackClean) {
+  for (int round = 0; round < 3; ++round) {
+    SimFuture<int> f;
+    ASSERT_FALSE(f.ready()) << "round " << round << " reused a fulfilled state";
+    int out = 0;
+    Task t = awaits_future(f, out);
+    t.start();
+    EXPECT_FALSE(t.done()) << "a clean state has no value to skip suspension with";
+    f.resolver()(round + 10);
+    EXPECT_EQ(out, round + 10);
+    EXPECT_TRUE(t.done());
+  }
+}
+
+TEST(SimFuture, CopiesShareOneState) {
+  SimFuture<int> f;
+  SimFuture<int> copy = f;
+  int out = 0;
+  Task t = awaits_future(copy, out);
+  t.start();
+  f.resolver()(8);
+  EXPECT_TRUE(copy.ready());
+  EXPECT_EQ(out, 8);
+  SimFuture<int> assigned;
+  assigned = copy;
+  EXPECT_TRUE(assigned.ready());
 }
 
 }  // namespace
